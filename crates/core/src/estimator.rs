@@ -152,8 +152,8 @@ pub trait PowerEstimator: fmt::Debug {
     /// `(gate_evals, gate_events)` of the backend's simulator, when it
     /// has one. The master diffs this around each detailed firing to
     /// surface the gate kernel's work through the trace layer.
-    /// `gate_evals` counts kernel work units and varies by selected
-    /// kernel (a word-parallel evaluation covers up to 64 cycles);
+    /// `gate_evals` counts kernel work and varies by selected kernel
+    /// (the oblivious sweep evaluates every gate every cycle);
     /// `gate_events` counts committed per-cycle output changes and is
     /// kernel-invariant. Defaults to `None` (no gate-level model).
     fn gate_stats(&self) -> Option<(u64, u64)> {

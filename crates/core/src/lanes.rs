@@ -1,7 +1,7 @@
 //! Gate-level lane scheduler: maps independent sweep units onto the
 //! lanes of a wide [`SimdLaneSim`] word.
 //!
-//! The simd kernel's lane words evaluate up to
+//! [`SimdLaneSim`]'s lane words evaluate up to
 //! [`gatesim::simd::MAX_LANES`] independent Boolean streams per gate
 //! visit. This module spends those lanes on *sweeps*: each lane carries
 //! one independent sweep unit — a Monte-Carlo stimulus vector (seeded
@@ -273,8 +273,9 @@ pub fn run_lane_sweep_serial(
             }
             sim.step();
         }
+        // A scalar eval covers exactly one (gate, cycle) slot.
         sweep.gate_evals += sim.gate_evals();
-        sweep.gate_eval_slots += sim.gate_eval_slots();
+        sweep.gate_eval_slots += sim.gate_evals();
         sweep.gate_events += sim.gate_events();
         sweep.points.push(demux(
             netlist,

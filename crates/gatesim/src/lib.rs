@@ -14,12 +14,12 @@
 //! * [`bus`] — word-level datapath blocks (adders, multipliers,
 //!   comparators, registers);
 //! * [`Simulator`] — deterministic cycle-based logic simulation with
-//!   energy capture (four bit-identical kernels: event-driven,
-//!   oblivious, word-parallel, and simd — see [`SimKernel`]);
-//! * [`word`] — bit-parallel lane primitives and the lockstep
-//!   multi-stream [`MultiLaneSim`] (64-lane [`LaneSim`] instance);
+//!   energy capture (two bit-identical kernels: event-driven and the
+//!   oblivious reference — see [`SimKernel`]);
+//! * [`word`] — the lockstep multi-stream [`MultiLaneSim`] (64-lane
+//!   [`LaneSim`] instance), one independent stimulus stream per lane;
 //! * [`simd`] — wide lane words ([`LaneWord`], [`Wide`]) that widen the
-//!   word kernels to 128/256/512 lanes per op, and the width-erased
+//!   lockstep engine to 128/256/512 lanes per op, and the width-erased
 //!   [`SimdLaneSim`] multi-stream simulator;
 //! * [`HwCfsm`] — CFSM transitions synthesized to FSMDs plus the
 //!   run protocol the co-simulation master uses.
@@ -44,7 +44,6 @@
 
 #![forbid(unsafe_code)]
 #![warn(missing_docs)]
-#![cfg_attr(feature = "portable-simd", feature(portable_simd))]
 
 pub mod analysis;
 pub mod blif;
@@ -58,7 +57,7 @@ pub mod word;
 
 pub use netlist::{Gate, GateKind, NetId, Netlist, ValidateNetlistError};
 pub use power::{CapacitanceMap, EnergyReport, PowerConfig};
-pub use sim::{ParseKernelError, SimKernel, Simulator, WindowRun};
+pub use sim::{ParseKernelError, SimKernel, Simulator};
 pub use simd::{LaneWord, SimdLaneSim, Wide, W128, W256, W512};
 pub use word::{LaneSim, MultiLaneSim};
 pub use synth::{

@@ -1,6 +1,6 @@
 //! Cycle-based logic simulation with toggle-count energy.
 //!
-//! Four kernels produce bit-identical results:
+//! Two kernels produce bit-identical results:
 //!
 //! * **Event-driven** (the default, [`SimKernel::EventDriven`]): per-net
 //!   combinational fanout lists and a topological levelization are built
@@ -9,43 +9,21 @@
 //!   level. Toggle counting falls out of the events themselves — no
 //!   per-cycle snapshot of the value vector.
 //! * **Oblivious** ([`SimKernel::Oblivious`], forced process-wide with
-//!   `GATESIM_OBLIVIOUS=1`): the reference path — every combinational
-//!   gate is re-evaluated every cycle in topological order and toggles
-//!   are found by a full before/after diff, the way the modified SIS
-//!   power estimator of the paper works.
-//! * **Word-parallel** ([`SimKernel::WordParallel`]): up to 64
-//!   consecutive cycles are evaluated per gate visit by packing each
-//!   net's value over the window into one `u64` *lane word* (bit *j* =
-//!   cycle *j*) and evaluating AND/OR/XOR/NOT/MUX as single word ops.
-//!   Sequential feedback bounds the batch: a window is *speculative*
-//!   under the assumption that no DFF output changes inside it, and
-//!   only the prefix up to (and including) the first cycle whose clock
-//!   edge would change a flop is *committed*; the remainder is
-//!   replayed in a fresh window from the new register state. Energy
-//!   falls out of per-net toggle words
-//!   ([`crate::word::toggle_word`]) popcounted over the committed
-//!   prefix.
-//! * **Simd** ([`SimKernel::Simd`]): the word-parallel engine
-//!   instantiated at a [`crate::simd::Wide`] lane word — 256 cycles per
-//!   gate visit instead of 64, with the same speculate / commit-prefix /
-//!   replay seam, masked comparisons, and epoch-stamped lazy lane
-//!   invalidation (the engine is generic over
-//!   [`crate::simd::LaneWord`], so there is one implementation, not
-//!   two). The default build carries the wide word as `[u64; 4]` and
-//!   lets LLVM vectorize; the `portable-simd` feature routes the ops
-//!   through `std::simd`.
+//!   `GATESIM_KERNEL=oblivious`): the reference path — every
+//!   combinational gate is re-evaluated every cycle in topological order
+//!   and toggles are found by a full before/after diff, the way the
+//!   modified SIS power estimator of the paper works.
 //!
-//! Equivalence is contractual, not approximate: every kernel
-//! accumulates switch energy over the toggled nets in ascending net-id
-//! order and then clocks DFFs in ascending gate order — the exact float
-//! operation sequence of the oblivious diff — so the kernels agree
-//! to the last mantissa bit. The differential fuzz suite and the golden
-//! reports enforce this.
+//! Equivalence is contractual, not approximate: both kernels accumulate
+//! switch energy over the toggled nets in ascending net-id order and
+//! then clock DFFs in ascending gate order — the exact float operation
+//! sequence of the oblivious diff — so they agree to the last mantissa
+//! bit. The differential fuzz suite and the golden reports enforce this.
+//! Word-level evaluation across independent stimulus streams lives in
+//! [`crate::word::MultiLaneSim`] and [`crate::SimdLaneSim`].
 
 use crate::netlist::{GateKind, NetId, Netlist, ValidateNetlistError};
 use crate::power::{CapacitanceMap, EnergyReport, PowerConfig};
-use crate::simd::{toggle_word_w, LaneWord, Wide};
-use std::collections::HashMap;
 use std::fmt;
 use std::sync::Arc;
 
@@ -56,14 +34,6 @@ pub enum SimKernel {
     EventDriven,
     /// Re-evaluate every combinational gate every cycle (reference path).
     Oblivious,
-    /// Evaluate up to 64 cycles per gate visit as one `u64` word op,
-    /// speculating across DFF boundaries and committing the bit-exact
-    /// prefix (see the module docs).
-    WordParallel,
-    /// Evaluate up to 256 cycles per gate visit as one wide
-    /// ([`crate::simd::W256`]) word op — the word-parallel engine at
-    /// four times the window width (see the module docs).
-    Simd,
 }
 
 /// A kernel name that parses to no known [`SimKernel`] — raised by
@@ -87,7 +57,7 @@ impl fmt::Display for ParseKernelError {
         write!(
             f,
             "unknown gate-simulation kernel `{}` (expected one of: \
-             event, oblivious, word, simd — case-insensitive)",
+             event, oblivious — case-insensitive)",
             self.value
         )
     }
@@ -98,17 +68,15 @@ impl std::error::Error for ParseKernelError {}
 impl std::str::FromStr for SimKernel {
     type Err = ParseKernelError;
 
-    /// Parses a kernel name, case-insensitively: `event`, `oblivious`,
-    /// `word`, or `simd`. This is the single parser behind the
-    /// `GATESIM_KERNEL` hatch — tests and tools should go through it
-    /// rather than re-matching strings.
+    /// Parses a kernel name, case-insensitively: `event` or `oblivious`.
+    /// This is the single parser behind the `GATESIM_KERNEL` hatch —
+    /// tests and tools should go through it rather than re-matching
+    /// strings.
     fn from_str(s: &str) -> Result<Self, ParseKernelError> {
         let t = s.trim();
         for (name, kernel) in [
             ("event", SimKernel::EventDriven),
             ("oblivious", SimKernel::Oblivious),
-            ("word", SimKernel::WordParallel),
-            ("simd", SimKernel::Simd),
         ] {
             if t.eq_ignore_ascii_case(name) {
                 return Ok(kernel);
@@ -121,128 +89,26 @@ impl std::str::FromStr for SimKernel {
 }
 
 impl SimKernel {
-    /// The kernel explicitly forced by the environment, if any.
-    ///
-    /// `GATESIM_KERNEL={event,oblivious,word,simd}` (case-insensitive)
-    /// picks any kernel and takes precedence; the legacy
-    /// `GATESIM_OBLIVIOUS=1` hatch still forces the oblivious reference
-    /// path. Unset or empty `GATESIM_KERNEL` forces nothing.
+    /// The kernel selected by the environment:
+    /// `GATESIM_KERNEL={event,oblivious}` (case-insensitive), or the
+    /// event-driven default when it is unset or empty.
     ///
     /// # Errors
     ///
     /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` is set to
     /// anything other than a known kernel name — a typo'd kernel must
     /// fail loudly, not silently fall back.
-    pub fn env_override() -> Result<Option<Self>, ParseKernelError> {
-        if let Some(v) = std::env::var_os("GATESIM_KERNEL") {
-            if !v.is_empty() {
-                let s = v.to_str().ok_or_else(|| ParseKernelError {
-                    value: v.to_string_lossy().into_owned(),
-                })?;
-                return s.parse().map(Some);
-            }
-        }
-        Ok(match std::env::var_os("GATESIM_OBLIVIOUS") {
-            Some(v) if v == "1" => Some(SimKernel::Oblivious),
-            _ => None,
-        })
-    }
-
-    /// The kernel selected by the environment alone: the override, or
-    /// the event-driven default.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` names an
-    /// unknown kernel (see [`SimKernel::env_override`]).
     pub fn from_env() -> Result<Self, ParseKernelError> {
-        Ok(SimKernel::env_override()?.unwrap_or(SimKernel::EventDriven))
-    }
-
-    /// Picks the kernel for one netlist: the environment override wins;
-    /// otherwise the window heuristic of [`SimKernel::choose`] decides.
-    /// Safe at any answer — the kernels are contractually bit-identical.
-    ///
-    /// # Errors
-    ///
-    /// Returns [`ParseKernelError`] if `GATESIM_KERNEL` names an
-    /// unknown kernel (see [`SimKernel::env_override`]).
-    pub fn auto_select(netlist: &Netlist) -> Result<Self, ParseKernelError> {
-        Ok(SimKernel::choose(SimKernel::env_override()?, netlist))
-    }
-
-    /// The pure (environment-free) selection rule behind
-    /// [`SimKernel::auto_select`], keyed on how long the speculative
-    /// windows are expected to run before a flop bounds them:
-    ///
-    /// * a forced kernel always wins;
-    /// * no sequential state at all — every window commits its full
-    ///   width, so take the widest kernel ([`SimKernel::Simd`], 256
-    ///   cycles per gate visit);
-    /// * flops but no sequential feedback
-    ///   ([`Netlist::sequential_feedback`] is false — shift registers,
-    ///   pipelined datapaths): the state settles to the input schedule
-    ///   within the pipeline depth, so windows amortize once inputs
-    ///   hold, but each input change still bounds a few windows during
-    ///   the flush — [`SimKernel::WordParallel`]'s 64-cycle window
-    ///   keeps that misspeculation waste small;
-    /// * sequential feedback (counters, FSM registers): the expected
-    ///   committed window length approaches one cycle, which forfeits
-    ///   the lane packing's advantage — stay [`SimKernel::EventDriven`].
-    pub fn choose(forced: Option<SimKernel>, netlist: &Netlist) -> Self {
-        if let Some(k) = forced {
-            return k;
-        }
-        if netlist.dff_count() == 0 {
-            SimKernel::Simd
-        } else if !netlist.sequential_feedback() {
-            SimKernel::WordParallel
-        } else {
-            SimKernel::EventDriven
+        match std::env::var_os("GATESIM_KERNEL") {
+            Some(v) if !v.is_empty() => v
+                .to_str()
+                .ok_or_else(|| ParseKernelError {
+                    value: v.to_string_lossy().into_owned(),
+                })?
+                .parse(),
+            _ => Ok(SimKernel::EventDriven),
         }
     }
-
-    /// Whether this kernel batches cycles into speculative lane-word
-    /// windows ([`SimKernel::WordParallel`] or [`SimKernel::Simd`]) —
-    /// the kernels [`Simulator::run_window`] and
-    /// [`Simulator::window_value`] work under.
-    pub const fn is_windowed(self) -> bool {
-        matches!(self, SimKernel::WordParallel | SimKernel::Simd)
-    }
-
-    /// Maximum cycles one speculative window can commit under this
-    /// kernel: 64 for word-parallel, 256 for simd, and 1 for the scalar
-    /// kernels (which evaluate cycle by cycle).
-    pub const fn window_bits(self) -> u32 {
-        match self {
-            SimKernel::WordParallel => 64,
-            SimKernel::Simd => 256,
-            SimKernel::EventDriven | SimKernel::Oblivious => 1,
-        }
-    }
-
-    /// `u64`s per net in the window lane buffer (0 for scalar kernels).
-    const fn window_words(self) -> usize {
-        match self {
-            SimKernel::WordParallel => 1,
-            SimKernel::Simd => 4,
-            SimKernel::EventDriven | SimKernel::Oblivious => 0,
-        }
-    }
-}
-
-/// The outcome of one speculative window under a windowed kernel
-/// ([`SimKernel::is_windowed`]; see [`Simulator::run_window`]).
-#[derive(Debug, Clone, Copy, PartialEq)]
-pub struct WindowRun {
-    /// Cycles actually committed (at least 1, at most the kernel's
-    /// [`SimKernel::window_bits`], never more than requested).
-    pub committed: u64,
-    /// Whether the window ended because a stop net was asserted — the
-    /// stop cycle itself is the last committed cycle.
-    pub stopped: bool,
-    /// Energy over the committed cycles, in joules.
-    pub energy_j: f64,
 }
 
 /// A simulation instance bound to one netlist.
@@ -305,40 +171,11 @@ pub struct Simulator {
     toggled: Vec<u32>,
     /// Scratch: D values sampled simultaneously at the clock edge.
     edge_sample: Vec<bool>,
-    // Windowed-kernel machinery (empty under the scalar kernels).
-    /// Per-net lane words for the current window, flat at stride
-    /// `kernel.window_words()`: bit `j % 64` of `lanes[i * stride +
-    /// j / 64]` is net `i`'s value at window cycle `j`. Valid only
-    /// where `lane_epoch` matches `epoch`; stale entries mean "held at
-    /// `values` all window".
-    lanes: Vec<u64>,
-    /// Window stamp per lane word (lazy invalidation — no per-window
-    /// clearing of the lane buffer).
-    lane_epoch: Vec<u64>,
-    /// Current window stamp (starts at 0 = nothing valid; bumped at
-    /// each window start).
-    epoch: u64,
-    /// Gates whose fan-in changed at the last committed clock edge;
-    /// they must re-evaluate at the next window's settle.
-    word_pending: Vec<u32>,
-    /// Scratch: nets whose lane differs from their committed value
-    /// somewhere in the current window (ascending after sort).
-    active: Vec<u32>,
-    /// Scratch: per-`active`-net toggle words over the committed
-    /// prefix, flat at stride `kernel.window_words()`.
-    active_toggle: Vec<u64>,
-    /// Cycles committed by the most recent window (bounds
-    /// [`Simulator::window_value`]).
-    window_len: u64,
-    /// Committed `(gate, cycle)` evaluation slots (see
-    /// [`Simulator::gate_eval_slots`]).
-    gate_eval_slots: u64,
 }
 
 impl Simulator {
-    /// Builds a simulator, validating the netlist. The kernel is
-    /// auto-selected per netlist ([`SimKernel::auto_select`]); the
-    /// `GATESIM_KERNEL` environment hatch keeps precedence.
+    /// Builds a simulator, validating the netlist, with the kernel
+    /// selected by the environment ([`SimKernel::from_env`]).
     ///
     /// All nets start at their reset values (DFF init values, inputs low,
     /// combinational logic settled accordingly).
@@ -349,14 +186,14 @@ impl Simulator {
     /// malformed, or its [`ValidateNetlistError::Kernel`] variant if
     /// `GATESIM_KERNEL` names an unknown kernel.
     pub fn new(netlist: &Netlist, config: PowerConfig) -> Result<Self, ValidateNetlistError> {
-        let kernel = SimKernel::auto_select(netlist)?;
+        let kernel = SimKernel::from_env()?;
         Self::with_kernel(Arc::new(netlist.clone()), config, kernel)
     }
 
     /// Builds a simulator over an already-shared netlist without cloning
-    /// it, with the kernel auto-selected per netlist
-    /// ([`SimKernel::auto_select`]). This is what design-space sweeps
-    /// use: every exploration point holds the same `Arc<Netlist>`.
+    /// it, with the kernel selected by the environment
+    /// ([`SimKernel::from_env`]). This is what design-space sweeps use:
+    /// every exploration point holds the same `Arc<Netlist>`.
     ///
     /// # Errors
     ///
@@ -367,7 +204,7 @@ impl Simulator {
         netlist: Arc<Netlist>,
         config: PowerConfig,
     ) -> Result<Self, ValidateNetlistError> {
-        let kernel = SimKernel::auto_select(&netlist)?;
+        let kernel = SimKernel::from_env()?;
         Self::with_kernel(netlist, config, kernel)
     }
 
@@ -419,18 +256,6 @@ impl Simulator {
             pending_edge: Vec::new(),
             toggled: Vec::new(),
             edge_sample: Vec::new(),
-            lanes: vec![0; n * kernel.window_words()],
-            lane_epoch: if kernel.is_windowed() {
-                vec![0; n]
-            } else {
-                Vec::new()
-            },
-            epoch: 0,
-            word_pending: Vec::new(),
-            active: Vec::new(),
-            active_toggle: Vec::new(),
-            window_len: 0,
-            gate_eval_slots: 0,
         };
         // Settle reset state without charging energy.
         for (i, g) in sim.netlist.gates().iter().enumerate() {
@@ -439,14 +264,13 @@ impl Simulator {
             }
         }
         sim.settle_full();
-        if sim.kernel != SimKernel::Oblivious {
+        if sim.kernel == SimKernel::EventDriven {
             // The full reset settle evaluates combinational gates *before*
             // forcing constants high, so gates downstream of a `Const1`
             // hold stale values until the first cycle's settle — a quirk
             // the oblivious diff charges as first-cycle toggles. Schedule
-            // those fanouts now so the event-driven and word-parallel
-            // kernels reproduce it exactly (both drain this queue at
-            // their first settle).
+            // those fanouts now so the event-driven kernel reproduces it
+            // exactly (it drains this queue at its first settle).
             for (i, g) in sim.netlist.gates().iter().enumerate() {
                 if g.kind == GateKind::Const1 {
                     for k in 0..sim.comb_fanout[i].len() {
@@ -474,26 +298,13 @@ impl Simulator {
         self.kernel
     }
 
-    /// Combinational gate evaluations performed so far, counted in the
-    /// kernel's own *work units*: the scalar kernels count one per gate
-    /// visit per cycle, while the word-parallel kernel counts one per
-    /// gate visit per *window* (a single `u64` op covering up to 64
-    /// cycles). Use [`Simulator::gate_eval_slots`] for a
-    /// cycle-equivalent measure, and [`Simulator::gate_events`] for the
-    /// kernel-invariant activity count.
+    /// Combinational gate evaluations performed so far, one per gate
+    /// visit per cycle: the event-driven kernel counts only the dirty
+    /// gates it woke, the oblivious kernel every combinational gate.
+    /// Use [`Simulator::gate_events`] for the kernel-invariant activity
+    /// count.
     pub fn gate_evals(&self) -> u64 {
         self.gate_evals
-    }
-
-    /// Committed `(gate, cycle)` evaluation slots: each gate evaluation
-    /// weighted by the number of cycles it committed. Under the scalar
-    /// kernels this equals [`Simulator::gate_evals`] (every evaluation
-    /// covers exactly one cycle); under the word-parallel kernel it is
-    /// `Σ evals × committed window length` — the work a scalar sweep of
-    /// the same dirty gates would have performed, which is what makes
-    /// eval-reduction ratios comparable across kernels.
-    pub fn gate_eval_slots(&self) -> u64 {
-        self.gate_eval_slots
     }
 
     /// Net value changes observed so far (input, combinational, and DFF
@@ -549,190 +360,13 @@ impl Simulator {
         match self.kernel {
             SimKernel::EventDriven => self.step_event(),
             SimKernel::Oblivious => self.step_oblivious(),
-            SimKernel::WordParallel | SimKernel::Simd => {
-                self.windowed_window(1, &[]);
-                self.report.per_cycle_j[self.report.per_cycle_j.len() - 1]
-            }
         }
     }
 
     /// Runs `n` cycles with held inputs and returns the energy over
-    /// them, in joules. Under the windowed kernels the cycles are
-    /// batched into windows of up to [`SimKernel::window_bits`] cycles;
-    /// the returned energy is re-folded cycle by cycle from the report
-    /// so the float sum is bit-identical to `n` scalar
-    /// [`Simulator::step`] calls.
+    /// them, in joules.
     pub fn run(&mut self, n: u64) -> f64 {
-        if self.kernel.is_windowed() {
-            let start = self.report.per_cycle_j.len();
-            let mut left = n;
-            while left > 0 {
-                let (m, _) = self.windowed_window(left, &[]);
-                left -= m;
-            }
-            self.report.per_cycle_j[start..].iter().sum()
-        } else {
-            (0..n).map(|_| self.step()).sum()
-        }
-    }
-
-    /// Runs one batched block: `changes[j]` is the set of input forcings
-    /// applied before cycle `j` (an empty set holds the inputs). Returns
-    /// the energy over `changes.len()` cycles.
-    ///
-    /// This is the uniform batched driving surface across kernels: the
-    /// scalar kernels loop `set_input` + `step`, while the windowed
-    /// kernels pack each input's schedule into lane words so a whole
-    /// block of cycles is evaluated per gate visit. Results are
-    /// bit-identical either way.
-    ///
-    /// # Panics
-    ///
-    /// Panics if a scheduled net is not an `Input` gate.
-    pub fn run_block(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64 {
-        match self.kernel {
-            SimKernel::WordParallel => self.run_block_w::<1>(changes),
-            SimKernel::Simd => self.run_block_w::<4>(changes),
-            SimKernel::EventDriven | SimKernel::Oblivious => {
-                let mut energy = 0.0;
-                for cyc in changes {
-                    for &(net, v) in cyc {
-                        self.set_input(net, v);
-                    }
-                    energy += self.step();
-                }
-                energy
-            }
-        }
-    }
-
-    /// [`Simulator::run_block`] under a windowed kernel at lane-word
-    /// width `W`.
-    fn run_block_w<const W: usize>(&mut self, changes: &[Vec<(NetId, bool)>]) -> f64
-    where
-        Wide<W>: LaneWord,
-    {
-        let bits = <Wide<W> as LaneWord>::BITS;
-        let start = self.report.per_cycle_j.len();
-        let mut pos = 0usize;
-        while pos < changes.len() {
-            let chunk = (changes.len() - pos).min(bits as usize);
-            // Pack each changed input's schedule into a lane word:
-            // start from the currently forced value, overwrite from
-            // each change's offset onward (carry-forward to the top
-            // lane so partial commits can shift the tail into a replay
-            // window).
-            let mut sched: Vec<(u32, Wide<W>)> = Vec::new();
-            let mut slot_of: HashMap<u32, usize> = HashMap::new();
-            for (off, cyc) in changes[pos..pos + chunk].iter().enumerate() {
-                for &(net, v) in cyc {
-                    assert_eq!(
-                        self.netlist.gates()[net.0 as usize].kind,
-                        GateKind::Input,
-                        "{net} is not a primary input"
-                    );
-                    let slot = *slot_of.entry(net.0).or_insert_with(|| {
-                        sched.push((net.0, Wide::splat(self.inputs[net.0 as usize])));
-                        sched.len() - 1
-                    });
-                    let keep = Wide::<W>::low_mask(off as u32);
-                    sched[slot].1 = sched[slot]
-                        .1
-                        .and(keep)
-                        .or(Wide::splat(v).and(keep.not()));
-                }
-            }
-            // Speculate / commit / replay until the chunk is consumed.
-            let mut live = sched.clone();
-            let mut left = chunk as u64;
-            while left > 0 {
-                let (m, _) = self.word_window_w::<W>(left, &live, &[]);
-                left -= m;
-                if left > 0 {
-                    for w in &mut live {
-                        w.1 = w.1.shr_fill(m as u32, w.1.bit(bits - 1));
-                    }
-                }
-            }
-            // The last scheduled slot is the forced value going forward.
-            for &(i, w) in &sched {
-                self.inputs[i as usize] = w.bit(bits - 1);
-            }
-            pos += chunk;
-        }
-        self.report.per_cycle_j[start..].iter().sum()
-    }
-
-    /// Runs one speculative window of at most `max_cycles` cycles
-    /// (capped at the kernel's [`SimKernel::window_bits`]) with held
-    /// inputs, additionally stopping at the first cycle where any
-    /// `stop` net is asserted — the seam data-dependent input sequences
-    /// (and wider lanes or GPU offload) drive the kernel through. The
-    /// stop cycle itself is committed; per-cycle values over the
-    /// committed prefix are readable through
-    /// [`Simulator::window_value`] until the next window starts.
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the kernel is windowed
-    /// ([`SimKernel::is_windowed`]) and `max_cycles >= 1`.
-    pub fn run_window(&mut self, max_cycles: u64, stop: &[NetId]) -> WindowRun {
-        assert!(
-            self.kernel.is_windowed(),
-            "run_window requires a windowed kernel (word-parallel or simd)"
-        );
-        assert!(max_cycles >= 1, "a window is at least one cycle");
-        let start = self.report.per_cycle_j.len();
-        let (committed, stopped) = self.windowed_window(max_cycles, stop);
-        WindowRun {
-            committed,
-            stopped,
-            energy_j: self.report.per_cycle_j[start..].iter().sum(),
-        }
-    }
-
-    /// A non-sequential net's value at cycle `cycle_in_window` of the
-    /// most recent window (windowed kernels only; valid until the next
-    /// window starts).
-    ///
-    /// # Panics
-    ///
-    /// Panics unless the kernel is windowed
-    /// ([`SimKernel::is_windowed`]), the cycle is within the last
-    /// committed window, and the net is combinational, constant, or an
-    /// input (DFF outputs change *at* the committing edge, so their
-    /// per-cycle history is not representable as one lane word; read
-    /// them via [`Simulator::value`] after the window instead).
-    pub fn window_value(&self, net: NetId, cycle_in_window: u64) -> bool {
-        assert!(
-            self.kernel.is_windowed(),
-            "window_value requires a windowed kernel (word-parallel or simd)"
-        );
-        assert!(
-            cycle_in_window < self.window_len,
-            "cycle {cycle_in_window} beyond the committed window ({} cycles)",
-            self.window_len
-        );
-        let i = net.0 as usize;
-        assert!(
-            !self.netlist.gates()[i].kind.is_sequential(),
-            "{net} is a DFF output; window lanes only cover combinational nets"
-        );
-        if self.lane_epoch[i] == self.epoch {
-            let stride = self.kernel.window_words();
-            let w = self.lanes[i * stride + (cycle_in_window / 64) as usize];
-            (w >> (cycle_in_window % 64)) & 1 == 1
-        } else {
-            self.values[i]
-        }
-    }
-
-    /// Reads a bus of nets at one cycle of the most recent window (bit
-    /// *i* from `nets[i]`; see [`Simulator::window_value`]).
-    pub fn window_value_bus(&self, nets: &[NetId], cycle_in_window: u64) -> u64 {
-        nets.iter().enumerate().fold(0u64, |acc, (i, &n)| {
-            acc | ((self.window_value(n, cycle_in_window) as u64) << i)
-        })
+        (0..n).map(|_| self.step()).sum()
     }
 
     /// The accumulated cycle-by-cycle energy report.
@@ -765,7 +399,6 @@ impl Simulator {
         }
         self.gate_evals = 0;
         self.gate_events = 0;
-        self.gate_eval_slots = 0;
     }
 
     /// Enqueues gate `g` in its level's dirty bucket (idempotent).
@@ -846,7 +479,6 @@ impl Simulator {
             for &g in &bucket {
                 self.in_queue[g as usize] = false;
                 self.gate_evals += 1;
-                self.gate_eval_slots += 1;
                 let v = self.eval_gate(g as usize);
                 if v != self.values[g as usize] {
                     self.values[g as usize] = v;
@@ -908,7 +540,6 @@ impl Simulator {
         // 2. Settle combinational logic.
         self.settle_full();
         self.gate_evals += self.order.len() as u64;
-        self.gate_eval_slots += self.order.len() as u64;
         // 3. Energy from toggles against the previous settled state.
         let mut energy = self.caps.clock_energy_per_cycle_j();
         for (i, (&now, &was)) in self.values.iter().zip(&before).enumerate() {
@@ -963,296 +594,6 @@ impl Simulator {
             }
         }
     }
-
-    /// Runs one speculative window under whichever windowed kernel this
-    /// instance was built with (monomorphization dispatch point).
-    fn windowed_window(&mut self, budget: u64, stop: &[NetId]) -> (u64, bool) {
-        match self.kernel {
-            SimKernel::WordParallel => self.word_window_w::<1>(budget, &[], stop),
-            SimKernel::Simd => self.word_window_w::<4>(budget, &[], stop),
-            SimKernel::EventDriven | SimKernel::Oblivious => {
-                unreachable!("not a windowed kernel")
-            }
-        }
-    }
-
-    /// A net's lane word for the current window: the computed lanes if
-    /// the net changed this window, else its committed value broadcast
-    /// to every cycle slot.
-    #[inline]
-    fn lane_of_w<const W: usize>(&self, i: usize) -> Wide<W>
-    where
-        Wide<W>: LaneWord,
-    {
-        if self.lane_epoch[i] == self.epoch {
-            lane_get::<W>(&self.lanes, i)
-        } else {
-            Wide::splat(self.values[i])
-        }
-    }
-
-    /// Evaluates the combinational gate at `idx` as one word op over
-    /// the current window's lanes.
-    fn eval_gate_word_w<const W: usize>(&self, idx: usize) -> Wide<W>
-    where
-        Wide<W>: LaneWord,
-    {
-        let g = &self.netlist.gates()[idx];
-        match g.kind {
-            GateKind::Buf => self.lane_of_w::<W>(g.inputs[0].0 as usize),
-            GateKind::Not => self.lane_of_w::<W>(g.inputs[0].0 as usize).not(),
-            GateKind::And => g
-                .inputs
-                .iter()
-                .fold(Wide::ONES, |a, &i| a.and(self.lane_of_w::<W>(i.0 as usize))),
-            GateKind::Or => g
-                .inputs
-                .iter()
-                .fold(Wide::ZERO, |a, &i| a.or(self.lane_of_w::<W>(i.0 as usize))),
-            GateKind::Nand => g
-                .inputs
-                .iter()
-                .fold(Wide::ONES, |a, &i| a.and(self.lane_of_w::<W>(i.0 as usize)))
-                .not(),
-            GateKind::Nor => g
-                .inputs
-                .iter()
-                .fold(Wide::ZERO, |a, &i| a.or(self.lane_of_w::<W>(i.0 as usize)))
-                .not(),
-            GateKind::Xor => g
-                .inputs
-                .iter()
-                .fold(Wide::ZERO, |a, &i| a.xor(self.lane_of_w::<W>(i.0 as usize))),
-            GateKind::Xnor => g
-                .inputs
-                .iter()
-                .fold(Wide::ZERO, |a, &i| a.xor(self.lane_of_w::<W>(i.0 as usize)))
-                .not(),
-            GateKind::Mux => {
-                let s = self.lane_of_w::<W>(g.inputs[0].0 as usize);
-                s.and(self.lane_of_w::<W>(g.inputs[1].0 as usize))
-                    .or(s.not().and(self.lane_of_w::<W>(g.inputs[2].0 as usize)))
-            }
-            GateKind::Input | GateKind::Const0 | GateKind::Const1 | GateKind::Dff(_) => {
-                unreachable!("not a combinational gate")
-            }
-        }
-    }
-
-    /// One speculative word window at lane-word width `W`: evaluates up
-    /// to `budget` (≤ the word's lane count) cycles at once under the
-    /// assumption that no DFF changes inside the window, then commits
-    /// the longest provably exact prefix.
-    ///
-    /// * Inputs are held at their forced values unless `sched` supplies
-    ///   an explicit per-cycle lane word for them (bit `j` = the value
-    ///   forced before window cycle `j`).
-    /// * The speculation is *self-checking*: DFF outputs are held at
-    ///   their committed values, so the first window cycle `t` whose
-    ///   clock edge would change any flop (`D` lane bit `t` ≠ held `Q`)
-    ///   invalidates cycles `t + 1` onward — cycles `0..=t` are exact
-    ///   because the state change only propagates after the edge. The
-    ///   window commits through `t`, clocks the flops from the `D`
-    ///   lanes at `t`, and the caller re-enters with the remainder (the
-    ///   replay seam).
-    /// * A `stop` net asserted within the exact prefix bounds the
-    ///   commit the same way: its first asserted cycle is the last one
-    ///   committed, and `stopped` is reported so the caller can react
-    ///   (data-dependent input sequencing).
-    ///
-    /// Committed per-cycle energies are pushed onto the report in the
-    /// scalar kernels' exact float accumulation order: clock tree, then
-    /// toggled nets ascending by net id, then (at the edge cycle only)
-    /// DFF outputs ascending by gate order.
-    fn word_window_w<const W: usize>(
-        &mut self,
-        budget: u64,
-        sched: &[(u32, Wide<W>)],
-        stop: &[NetId],
-    ) -> (u64, bool)
-    where
-        Wide<W>: LaneWord,
-    {
-        let bits = <Wide<W> as LaneWord>::BITS;
-        let b = budget.min(bits as u64) as u32;
-        let mask = Wide::<W>::low_mask(b);
-        self.epoch += 1;
-        self.active.clear();
-        // Scheduled inputs: an explicit per-cycle lane overrides the
-        // held value.
-        for &(i, w) in sched {
-            let iu = i as usize;
-            lane_set::<W>(&mut self.lanes, iu, w);
-            self.lane_epoch[iu] = self.epoch;
-            if w.and(mask) != Wide::splat(self.values[iu]).and(mask) {
-                self.active.push(i);
-                for k in 0..self.comb_fanout[iu].len() {
-                    let g = self.comb_fanout[iu][k];
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
-                }
-            }
-        }
-        // Held inputs that changed since the last committed cycle
-        // toggle at window cycle 0 and hold.
-        for k in 0..self.input_ids.len() {
-            let i = self.input_ids[k] as usize;
-            if self.lane_epoch[i] == self.epoch {
-                continue; // scheduled above
-            }
-            if self.values[i] != self.inputs[i] {
-                lane_set::<W>(&mut self.lanes, i, Wide::splat(self.inputs[i]));
-                self.lane_epoch[i] = self.epoch;
-                self.active.push(i as u32);
-                for j in 0..self.comb_fanout[i].len() {
-                    let g = self.comb_fanout[i][j];
-                    Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
-                }
-            }
-        }
-        // Gates invalidated by the previous window's clock edge (or the
-        // construction-time constant-quirk seeds already queued).
-        let pending = std::mem::take(&mut self.word_pending);
-        for &g in &pending {
-            Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, g);
-        }
-        self.word_pending = pending;
-        self.word_pending.clear();
-
-        // Levelized word settle: each dirty gate is evaluated exactly
-        // once, as one word op covering every cycle of the window.
-        let mut window_evals = 0u64;
-        for lvl in 1..=self.max_level as usize {
-            let mut bucket = std::mem::take(&mut self.level_queue[lvl]);
-            for &g in &bucket {
-                self.in_queue[g as usize] = false;
-                self.gate_evals += 1;
-                window_evals += 1;
-                let w = self.eval_gate_word_w::<W>(g as usize);
-                if w.and(mask) != Wide::splat(self.values[g as usize]).and(mask) {
-                    lane_set::<W>(&mut self.lanes, g as usize, w);
-                    self.lane_epoch[g as usize] = self.epoch;
-                    self.active.push(g);
-                    for k in 0..self.comb_fanout[g as usize].len() {
-                        let succ = self.comb_fanout[g as usize][k];
-                        Self::sched(&mut self.level_queue, &mut self.in_queue, &self.levels, succ);
-                    }
-                }
-            }
-            bucket.clear();
-            self.level_queue[lvl] = bucket;
-        }
-
-        // Longest exact prefix: the speculation (flops hold) is valid
-        // through the first cycle whose edge would change a flop.
-        let mut m = b;
-        for k in 0..self.dffs.len() {
-            let (q, d) = self.dffs[k];
-            let viol = self
-                .lane_of_w::<W>(d as usize)
-                .xor(Wide::splat(self.values[q as usize]))
-                .and(mask);
-            if !viol.is_zero() {
-                let t = viol.trailing_zeros() + 1;
-                if t < m {
-                    m = t;
-                }
-            }
-        }
-        // A stop net asserted within the exact prefix ends the window
-        // at its first asserted cycle.
-        let mut stopped = false;
-        for &s in stop {
-            let sl = self.lane_of_w::<W>(s.0 as usize).and(mask);
-            if !sl.is_zero() {
-                let t = sl.trailing_zeros() + 1;
-                if t <= m {
-                    m = t;
-                    stopped = true;
-                }
-            }
-        }
-        self.gate_eval_slots += window_evals * m as u64;
-
-        // Commit: toggle words over the committed prefix, then the
-        // per-cycle energy fold in the scalar kernels' order.
-        let cmask = Wide::<W>::low_mask(m);
-        self.active.sort_unstable();
-        self.active_toggle.clear();
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            let t = toggle_word_w(lane_get::<W>(&self.lanes, i), self.values[i]).and(cmask);
-            self.active_toggle.extend_from_slice(&t.0);
-        }
-        // Sample every D at the edge cycle before any state is written
-        // (DFF-to-DFF chains shift simultaneously).
-        self.edge_sample.clear();
-        for k in 0..self.dffs.len() {
-            let d = self.dffs[k].1;
-            self.edge_sample
-                .push(self.lane_of_w::<W>(d as usize).bit(m - 1));
-        }
-        let clock = self.caps.clock_energy_per_cycle_j();
-        for j in 0..m {
-            let mut energy = clock;
-            let (jw, jb) = ((j / 64) as usize, j % 64);
-            for k in 0..self.active.len() {
-                if (self.active_toggle[k * W + jw] >> jb) & 1 == 1 {
-                    energy += self.config.switch_energy_j(self.caps.cap_ff(self.active[k]));
-                }
-            }
-            if j + 1 == m {
-                for k in 0..self.dffs.len() {
-                    let q = self.dffs[k].0;
-                    if self.edge_sample[k] != self.values[q as usize] {
-                        energy += self.config.switch_energy_j(self.caps.cap_ff(q));
-                    }
-                }
-            }
-            self.report.per_cycle_j.push(energy);
-        }
-        // Commit state and counters: active nets take their edge-cycle
-        // values, flops clock, and changed flop fanouts re-settle at
-        // the next window.
-        for k in 0..self.active.len() {
-            let i = self.active[k] as usize;
-            let pc: u64 = self.active_toggle[k * W..(k + 1) * W]
-                .iter()
-                .map(|w| w.count_ones() as u64)
-                .sum();
-            self.toggles[i] += pc;
-            self.gate_events += pc;
-            self.values[i] = lane_get::<W>(&self.lanes, i).bit(m - 1);
-        }
-        for k in 0..self.dffs.len() {
-            let q = self.dffs[k].0 as usize;
-            let v = self.edge_sample[k];
-            if self.values[q] != v {
-                self.toggles[q] += 1;
-                self.gate_events += 1;
-                self.values[q] = v;
-                for j in 0..self.comb_fanout[q].len() {
-                    self.word_pending.push(self.comb_fanout[q][j]);
-                }
-            }
-        }
-        self.cycle += m as u64;
-        self.window_len = m as u64;
-        (m as u64, stopped)
-    }
-}
-
-/// Reads net `i`'s lane word from the flat window lane buffer.
-#[inline]
-fn lane_get<const W: usize>(lanes: &[u64], i: usize) -> Wide<W> {
-    let mut a = [0u64; W];
-    a.copy_from_slice(&lanes[i * W..(i + 1) * W]);
-    Wide(a)
-}
-
-/// Writes net `i`'s lane word into the flat window lane buffer.
-#[inline]
-fn lane_set<const W: usize>(lanes: &mut [u64], i: usize, w: Wide<W>) {
-    lanes[i * W..(i + 1) * W].copy_from_slice(&w.0);
 }
 
 #[cfg(test)]
@@ -1473,269 +814,6 @@ mod tests {
             (trace, toggles, sim.report().total_j().to_bits())
         };
         assert_eq!(run(SimKernel::EventDriven), run(SimKernel::Oblivious));
-        assert_eq!(run(SimKernel::WordParallel), run(SimKernel::Oblivious));
-        assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
-    }
-
-    #[test]
-    fn word_kernel_batches_held_runs_bitwise() {
-        // A shift chain with a self-toggling head: every cycle changes
-        // flop state, so every window commits exactly one cycle — the
-        // worst case for speculation must still be bit-exact.
-        let mut n = Netlist::new();
-        let inv = n.gate(GateKind::Not, vec![NetId(1)]);
-        let mut q = n.dff(inv, false);
-        for _ in 0..5 {
-            q = n.dff(q, false);
-        }
-        n.mark_output("q", q);
-        let shared = Arc::new(n);
-        let run = |kernel| {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let e = sim.run(130); // non-multiple of 64
-            let report: Vec<u64> = sim.report().per_cycle_j.iter().map(|x| x.to_bits()).collect();
-            (e.to_bits(), report, sim.gate_events())
-        };
-        assert_eq!(run(SimKernel::WordParallel), run(SimKernel::Oblivious));
-        assert_eq!(run(SimKernel::Simd), run(SimKernel::Oblivious));
-    }
-
-    #[test]
-    fn word_kernel_commits_whole_windows_when_quiescent() {
-        // Inputs held, no flops toggling: one window eval covers 64
-        // cycles, so eval counts collapse while slots stay honest.
-        let mut n = Netlist::new();
-        let a = n.input();
-        let mut prev = a;
-        for _ in 0..8 {
-            prev = n.gate(GateKind::Not, vec![prev]);
-        }
-        n.mark_output("out", prev);
-        let shared = Arc::new(n);
-        let mut sim = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::WordParallel)
-            .expect("valid");
-        sim.run(256);
-        assert_eq!(sim.gate_evals(), 0, "nothing dirty while inputs hold");
-        assert_eq!(sim.gate_eval_slots(), 0);
-        // One input flip wakes the chain once for the whole 64-cycle
-        // window: 8 word evals commit 8 × 64 slots.
-        sim.set_input(a, true);
-        sim.run(64);
-        assert_eq!(sim.gate_evals(), 8);
-        assert_eq!(sim.gate_eval_slots(), 8 * 64);
-        // The scalar kernels keep evals == slots by definition.
-        let mut ev = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
-            .expect("valid");
-        ev.set_input(a, true);
-        ev.run(64);
-        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
-    }
-
-    #[test]
-    fn run_block_matches_per_cycle_stepping_across_kernels() {
-        let mut n = Netlist::new();
-        let a = n.input();
-        let b = n.input();
-        let x = n.gate(GateKind::Xor, vec![a, b]);
-        let q = n.dff(x, false);
-        let y = n.gate(GateKind::And, vec![q, a]);
-        n.mark_output("y", y);
-        let shared = Arc::new(n);
-        let changes: Vec<Vec<(NetId, bool)>> = (0..130u64)
-            .map(|i| {
-                let mut c = Vec::new();
-                if i % 7 == 0 {
-                    c.push((a, i % 14 == 0));
-                }
-                if i % 11 == 3 {
-                    c.push((b, i % 22 == 3));
-                }
-                c
-            })
-            .collect();
-        let drive = |kernel| {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let e = sim.run_block(&changes);
-            let report: Vec<u64> = sim.report().per_cycle_j.iter().map(|x| x.to_bits()).collect();
-            let toggles: Vec<u64> = (0..shared.gate_count())
-                .map(|k| sim.toggle_count(NetId(k as u32)))
-                .collect();
-            (e.to_bits(), report, toggles, sim.gate_events())
-        };
-        let word = drive(SimKernel::WordParallel);
-        assert_eq!(word, drive(SimKernel::Oblivious));
-        assert_eq!(word, drive(SimKernel::EventDriven));
-        assert_eq!(word, drive(SimKernel::Simd));
-    }
-
-    #[test]
-    fn run_window_stops_at_the_first_asserted_stop_net() {
-        // A 3-bit counter's AND-of-bits goes high at cycle 6 (count 7
-        // visible during cycle 7? — pinned below against scalar truth).
-        let mut n = Netlist::new();
-        let inv = n.gate(GateKind::Not, vec![NetId(1)]);
-        let q0 = n.dff(inv, false);
-        let x1 = n.gate(GateKind::Xor, vec![q0, NetId(3)]);
-        // forward reference: q1 is gate 3
-        let q1 = n.dff(x1, false);
-        let stop = n.gate(GateKind::And, vec![q0, q1]);
-        n.mark_output("stop", stop);
-        let shared = Arc::new(n);
-        // Scalar truth: first cycle where `stop` settles high.
-        let mut scalar = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::EventDriven)
-            .expect("valid");
-        let mut first_high = 0u64;
-        for c in 1..=64u64 {
-            scalar.step();
-            if scalar.value(stop) {
-                first_high = c;
-                break;
-            }
-        }
-        assert!(first_high > 1, "stop must not fire immediately");
-        for kernel in [SimKernel::WordParallel, SimKernel::Simd] {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            let mut committed = 0u64;
-            let win = loop {
-                let w = sim.run_window(kernel.window_bits() as u64, &[stop]);
-                committed += w.committed;
-                if w.stopped {
-                    break w;
-                }
-            };
-            assert!(win.stopped);
-            assert_eq!(committed, first_high, "stop cycle is the last committed");
-            // The stop net reads high at the stop cycle through the
-            // window lane, and the committed prefix is replayable history.
-            assert!(sim.window_value(stop, win.committed - 1));
-            assert_eq!(sim.cycle(), first_high);
-        }
-    }
-
-    #[test]
-    fn window_value_exposes_percycle_history() {
-        let mut n = Netlist::new();
-        let a = n.input();
-        let x = n.gate(GateKind::Not, vec![a]);
-        n.mark_output("x", x);
-        let shared = Arc::new(n);
-        for kernel in [SimKernel::WordParallel, SimKernel::Simd] {
-            let mut sim =
-                Simulator::with_kernel(Arc::clone(&shared), cfg(), kernel).expect("valid");
-            // Schedule a mid-block flip via run_block, then read history.
-            let mut changes = vec![Vec::new(); 10];
-            changes[4].push((a, true));
-            sim.run_block(&changes);
-            // run_block's last window covered all 10 cycles (no flops).
-            for j in 0..10u64 {
-                assert_eq!(sim.window_value(a, j), j >= 4);
-                assert_eq!(sim.window_value(x, j), j < 4);
-            }
-        }
-    }
-
-    #[test]
-    fn env_kernel_hatch_precedence() {
-        // Own-process test: the unit-test binary may touch the
-        // environment (no other test here reads it concurrently).
-        std::env::set_var("GATESIM_KERNEL", "word");
-        std::env::set_var("GATESIM_OBLIVIOUS", "1");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::WordParallel));
-        // Parsing is case-insensitive and whitespace-tolerant.
-        std::env::set_var("GATESIM_KERNEL", " SIMD ");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
-        // Unknown values surface a typed error listing the options.
-        std::env::set_var("GATESIM_KERNEL", "warp");
-        let err = SimKernel::from_env().expect_err("unknown kernel");
-        assert_eq!(err.value(), "warp");
-        let msg = err.to_string();
-        for option in ["event", "oblivious", "word", "simd"] {
-            assert!(msg.contains(option), "{msg:?} must list {option:?}");
-        }
-        // Empty means unset: the legacy oblivious hatch applies.
-        std::env::set_var("GATESIM_KERNEL", "");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-        std::env::remove_var("GATESIM_KERNEL");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-        std::env::remove_var("GATESIM_OBLIVIOUS");
-        assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
-    }
-
-    #[test]
-    fn kernel_choice_scales_with_state_structure() {
-        // Purely combinational: full-width speculative windows always
-        // commit, so the widest (simd) kernel wins.
-        let mut comb = Netlist::new();
-        let a = comb.input();
-        let x = comb.gate(GateKind::Not, vec![a]);
-        comb.mark_output("x", x);
-        assert_eq!(SimKernel::choose(None, &comb), SimKernel::Simd);
-        // Feed-forward flops (a pipeline): state settles to the input
-        // stream, so windows still run long — word-parallel pays off.
-        let mut pipe = Netlist::new();
-        let b = pipe.input();
-        let s1 = pipe.dff(b, false);
-        let s2 = pipe.dff(s1, false);
-        pipe.mark_output("q", s2);
-        assert_eq!(SimKernel::choose(None, &pipe), SimKernel::WordParallel);
-        // Sequential feedback (a toggle flop): every window commits a
-        // single cycle, so speculation never amortizes — event-driven.
-        let mut fb = Netlist::new();
-        let inv = fb.gate(GateKind::Not, vec![NetId(1)]);
-        let q = fb.dff(inv, false);
-        fb.mark_output("q", q);
-        assert_eq!(SimKernel::choose(None, &fb), SimKernel::EventDriven);
-        // A forced kernel always wins over the heuristic.
-        for forced in [
-            SimKernel::EventDriven,
-            SimKernel::Oblivious,
-            SimKernel::WordParallel,
-            SimKernel::Simd,
-        ] {
-            assert_eq!(SimKernel::choose(Some(forced), &comb), forced);
-            assert_eq!(SimKernel::choose(Some(forced), &pipe), forced);
-            assert_eq!(SimKernel::choose(Some(forced), &fb), forced);
-        }
-    }
-
-    #[test]
-    fn simd_kernel_commits_256_cycle_windows_when_quiescent() {
-        // The simd kernel quadruples the window: 8 wide evals cover
-        // 8 × 256 committed slots, four times the word kernel's batch.
-        let mut n = Netlist::new();
-        let a = n.input();
-        let mut prev = a;
-        for _ in 0..8 {
-            prev = n.gate(GateKind::Not, vec![prev]);
-        }
-        n.mark_output("out", prev);
-        let shared = Arc::new(n);
-        let mut sim =
-            Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::Simd).expect("valid");
-        sim.run(512);
-        assert_eq!(sim.gate_evals(), 0, "nothing dirty while inputs hold");
-        assert_eq!(sim.gate_eval_slots(), 0);
-        sim.set_input(a, true);
-        sim.run(256);
-        assert_eq!(sim.gate_evals(), 8);
-        assert_eq!(sim.gate_eval_slots(), 8 * 256);
-        // Same drive through the word kernel: identical energy, but the
-        // flip's window only spans 64 cycles (the three quiescent
-        // follow-up windows commit free), so a quarter of the slots.
-        let mut word = Simulator::with_kernel(Arc::clone(&shared), cfg(), SimKernel::WordParallel)
-            .expect("valid");
-        word.run(512);
-        word.set_input(a, true);
-        word.run(256);
-        assert_eq!(
-            sim.report().total_j().to_bits(),
-            word.report().total_j().to_bits()
-        );
-        assert_eq!(word.gate_evals(), 8);
-        assert_eq!(word.gate_eval_slots(), 8 * 64);
     }
 
     #[test]

@@ -327,9 +327,6 @@ impl HwTransition {
         event_value: &dyn Fn(EventId) -> i64,
         mem_reads: &[i64],
     ) -> HwRun {
-        if self.sim.kernel().is_windowed() {
-            return self.run_word(vars_in, event_value, mem_reads);
-        }
         let w = self.width;
         let sim = &mut self.sim;
         // Load cycle.
@@ -391,112 +388,6 @@ impl HwTransition {
             }
             if sim.value(self.shared.ports.done) {
                 break;
-            }
-        }
-        let vars_out = self
-            .shared
-            .ports
-            .var_q
-            .iter()
-            .map(|bus| sign_extend(sim.value_bus(bus.nets()), w))
-            .collect();
-        HwRun {
-            cycles,
-            energy_j: energy,
-            vars_out,
-            emitted,
-            mem_ops,
-        }
-    }
-
-    /// The windowed (word-parallel / simd) run protocol: identical
-    /// observable behavior to the scalar [`HwTransition::run`] loop, bit
-    /// for bit, but the execution cycles advance through speculative
-    /// windows of up to the kernel's lane count
-    /// ([`Simulator::run_window`]) instead of scalar steps.
-    ///
-    /// Data-dependent input sequencing is the interesting seam: the
-    /// master supplies memory read data *in response to* `mem_re`, so a
-    /// window must not run past a read issue — `mem_re` and `done` are
-    /// the window's stop nets, which flushes the batch at exactly the
-    /// cycles where the scalar loop would react, and the replay resumes
-    /// from the committed register state with the new `mem_data_in`.
-    /// Emit pulses and memory operands are observed per committed cycle
-    /// through the window lanes (all of them are combinational nets).
-    /// Per-cycle energies are re-folded from the report so the float
-    /// accumulation order matches the scalar `energy += step()` chain.
-    fn run_word(
-        &mut self,
-        vars_in: &[i64],
-        event_value: &dyn Fn(EventId) -> i64,
-        mem_reads: &[i64],
-    ) -> HwRun {
-        let w = self.width;
-        let sim = &mut self.sim;
-        // Load cycle, then the start handshake cycle: single scalar
-        // steps (one-cycle windows are bit-identical to scalar steps).
-        sim.set_input(self.shared.ports.start, false);
-        sim.set_input(self.shared.ports.load, true);
-        for (v, bus) in self.shared.ports.var_in.iter().enumerate() {
-            sim.set_input_bus(bus.nets(), mask_to_width(vars_in[v], w));
-        }
-        for (&e, bus) in &self.shared.ports.ev_in {
-            sim.set_input_bus(bus.nets(), mask_to_width(event_value(e), w));
-        }
-        let mut energy = sim.step();
-        let mut cycles = 1u64;
-        sim.set_input(self.shared.ports.load, false);
-        sim.set_input(self.shared.ports.start, true);
-        energy += sim.step();
-        cycles += 1;
-        sim.set_input(self.shared.ports.start, false);
-        // Execution cycles, windowed.
-        let stop = [self.shared.ports.mem_re, self.shared.ports.done];
-        let mut emitted = Vec::new();
-        let mut mem_ops = Vec::new();
-        let mut next_read = 0usize;
-        'execute: loop {
-            let base = sim.report().per_cycle_j.len();
-            let win = sim.run_window(sim.kernel().window_bits() as u64, &stop);
-            for j in 0..win.committed {
-                energy += sim.report().per_cycle_j[base + j as usize];
-                cycles += 1;
-                assert!(
-                    cycles < MAX_RUN_CYCLES,
-                    "hardware transition exceeded cycle budget; runaway controller?"
-                );
-                for (&e, &pulse) in &self.shared.ports.emit_pulse {
-                    if sim.window_value(pulse, j) {
-                        let val = self.shared.ports.emit_value.get(&e).map(|bus| {
-                            sign_extend(sim.window_value_bus(bus.nets(), j), w)
-                        });
-                        emitted.push((e, val));
-                    }
-                }
-                if sim.window_value(self.shared.ports.mem_re, j) {
-                    let addr = sim.window_value_bus(self.shared.ports.mem_addr.nets(), j);
-                    mem_ops.push((addr, false, 0));
-                    assert!(
-                        next_read < mem_reads.len(),
-                        "hardware issued more reads than the behavioral execution supplied"
-                    );
-                    sim.set_input_bus(
-                        self.shared.ports.mem_data_in.nets(),
-                        mask_to_width(mem_reads[next_read], w),
-                    );
-                    next_read += 1;
-                }
-                if sim.window_value(self.shared.ports.mem_we, j) {
-                    let addr = sim.window_value_bus(self.shared.ports.mem_addr.nets(), j);
-                    let data = sign_extend(
-                        sim.window_value_bus(self.shared.ports.mem_wdata.nets(), j),
-                        w,
-                    );
-                    mem_ops.push((addr, true, data));
-                }
-                if sim.window_value(self.shared.ports.done, j) {
-                    break 'execute;
-                }
             }
         }
         let vars_out = self

@@ -1,30 +1,19 @@
-//! Differential fuzzing of the four simulation kernels.
+//! Differential fuzzing of the event-driven kernel against the
+//! oblivious reference.
 //!
-//! The event-driven, word-parallel, and simd kernels' contract with the
-//! oblivious reference path is *bitwise* identity — same settled values
-//! every cycle, same toggle counters, same per-cycle energy down to the
-//! last mantissa bit (the float accumulation order is part of the
-//! contract). This suite builds random netlists (including DFF-to-DFF
-//! chains, constants, forward references into flop outputs, and
-//! reconvergent logic) and drives all kernels with identical random
-//! input sequences, both cycle by cycle and through the batched
-//! [`Simulator::run_block`] surface at block-boundary cycle counts
-//! (1, 63, 64, 65, 127, 128, 255, 256, 257 — the word kernel's 64-cycle
-//! and the simd kernel's 256-cycle windows must be exact at and across
-//! every boundary).
+//! The event-driven kernel's contract with the oblivious reference path
+//! is *bitwise* identity — same settled values every cycle, same toggle
+//! counters, same per-cycle energy down to the last mantissa bit (the
+//! float accumulation order is part of the contract). This suite builds
+//! random netlists (including DFF-to-DFF chains, constants, forward
+//! references into flop outputs, and reconvergent logic) and drives
+//! both kernels with identical random input sequences.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use detrand::Rng;
 use gatesim::{GateKind, NetId, Netlist, PowerConfig, SimKernel, Simulator};
 use std::sync::Arc;
-
-const KERNELS: [SimKernel; 4] = [
-    SimKernel::Oblivious,
-    SimKernel::EventDriven,
-    SimKernel::WordParallel,
-    SimKernel::Simd,
-];
 
 /// Builds a random valid netlist: inputs and constants first, then a
 /// mix of combinational gates (fan-ins drawn from already-built nets,
@@ -126,40 +115,6 @@ fn drive(
     (per_cycle, toggles, report_bits)
 }
 
-/// Drives the stimulus through `run_block` in segments (the word kernel
-/// gets genuine multi-cycle windows), observing block energies, the
-/// full report, final values, toggles, and activity counters.
-fn drive_blocks(
-    netlist: &Arc<Netlist>,
-    kernel: SimKernel,
-    stimulus: &[Vec<(NetId, bool)>],
-    segments: &[usize],
-) -> (Vec<u64>, Vec<u64>, Vec<bool>, Vec<u64>, u64) {
-    let mut sim = Simulator::with_kernel(Arc::clone(netlist), PowerConfig::date2000_defaults(), kernel)
-        .expect("valid");
-    let mut block_energy = Vec::new();
-    let mut pos = 0usize;
-    for &seg in segments {
-        let end = (pos + seg).min(stimulus.len());
-        block_energy.push(sim.run_block(&stimulus[pos..end]).to_bits());
-        pos = end;
-        if pos == stimulus.len() {
-            break;
-        }
-    }
-    if pos < stimulus.len() {
-        block_energy.push(sim.run_block(&stimulus[pos..]).to_bits());
-    }
-    let report = sim.report().per_cycle_j.iter().map(|e| e.to_bits()).collect();
-    let values = (0..netlist.gate_count())
-        .map(|i| sim.value(NetId(i as u32)))
-        .collect();
-    let toggles = (0..netlist.gate_count())
-        .map(|i| sim.toggle_count(NetId(i as u32)))
-        .collect();
-    (block_energy, report, values, toggles, sim.gate_events())
-}
-
 #[test]
 fn all_kernels_match_oblivious_over_120_random_cases() {
     for case in 0..120u64 {
@@ -168,103 +123,13 @@ fn all_kernels_match_oblivious_over_120_random_cases() {
         let cycles = rng.usize_in(10, 40);
         let stimulus = random_stimulus(&netlist, cycles, 0.6, &mut rng);
         let reference = drive(&netlist, SimKernel::Oblivious, &stimulus);
-        for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
-            let got = drive(&netlist, kernel, &stimulus);
-            assert_eq!(
-                got, reference,
-                "{kernel:?} diverged in case {case} ({} gates, {} cycles)",
-                netlist.gate_count(),
-                cycles
-            );
-        }
-    }
-}
-
-#[test]
-fn batched_blocks_match_at_word_boundaries() {
-    // Cycle counts straddling both windowed lane widths: a single
-    // cycle, one short of / exactly / one past the word kernel's
-    // 64-cycle window, and the same lattice around the simd kernel's
-    // 256-cycle window. Segment sizes are randomized so chunk seams
-    // land everywhere, and the input change probability is low enough
-    // that windows actually span many cycles.
-    for &cycles in &[1usize, 63, 64, 65, 127, 128, 255, 256, 257] {
-        for case in 0..30u64 {
-            let mut rng = Rng::new(0xB10C_0000_0000_0000 ^ (cycles as u64) << 32 ^ case);
-            let netlist = Arc::new(random_netlist(&mut rng));
-            let stimulus = random_stimulus(&netlist, cycles, 0.1, &mut rng);
-            let segments: Vec<usize> = {
-                let mut segs = Vec::new();
-                let mut left = cycles;
-                while left > 0 {
-                    let s = rng.usize_in(1, left.min(300) + 1);
-                    segs.push(s);
-                    left -= s;
-                }
-                segs
-            };
-            let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-            for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
-                let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
-                assert_eq!(
-                    got, reference,
-                    "{kernel:?} diverged at {cycles} cycles, case {case}, segments {segments:?}"
-                );
-            }
-        }
-    }
-}
-
-#[test]
-fn block_boundary_dff_edges_shift_exactly() {
-    // A deterministic long shift register crossing several window
-    // boundaries: after `len + k` cycles the head pulse sits `k` flops
-    // deep regardless of how the cycles were batched.
-    let mut n = Netlist::new();
-    let head = n.input();
-    let mut q = n.dff(head, false);
-    let mut taps = vec![q];
-    for _ in 0..69 {
-        q = n.dff(q, false);
-        taps.push(q);
-    }
-    n.mark_output("tail", q);
-    let netlist = Arc::new(n);
-    // Pulse the head for exactly one cycle, then hold low for 127 more.
-    let mut stimulus: Vec<Vec<(NetId, bool)>> = vec![vec![(head, true)]];
-    stimulus.push(vec![(head, false)]);
-    stimulus.extend(std::iter::repeat_with(Vec::new).take(126));
-    let whole = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &[128]);
-    for segments in [vec![128usize], vec![1, 63, 64], vec![65, 63], vec![64, 64]] {
-        // Kernels agree on everything including per-block energy totals
-        // when driven through the same segmentation...
-        let reference = drive_blocks(&netlist, SimKernel::Oblivious, &stimulus, &segments);
-        for kernel in [SimKernel::EventDriven, SimKernel::WordParallel, SimKernel::Simd] {
-            let got = drive_blocks(&netlist, kernel, &stimulus, &segments);
-            assert_eq!(got, reference, "{kernel:?} diverged with segments {segments:?}");
-        }
-        // ...and the per-cycle history (energy, values, toggles, events)
-        // is invariant under the batching itself: only the per-block
-        // energy grouping may differ from the single-block run.
+        let got = drive(&netlist, SimKernel::EventDriven, &stimulus);
         assert_eq!(
-            (&reference.1, &reference.2, &reference.3, reference.4),
-            (&whole.1, &whole.2, &whole.3, whole.4),
-            "segmentation {segments:?} changed per-cycle behaviour"
+            got, reference,
+            "event-driven diverged in case {case} ({} gates, {} cycles)",
+            netlist.gate_count(),
+            cycles
         );
-    }
-    // And the pulse really is where it should be: 128 cycles deep into
-    // a 70-flop chain, long gone off the end; re-run to mid-flight.
-    let mut sim = Simulator::with_kernel(
-        Arc::clone(&netlist),
-        PowerConfig::date2000_defaults(),
-        SimKernel::WordParallel,
-    )
-    .expect("valid");
-    sim.run_block(&stimulus[..40]);
-    // The pulse is latched into taps[0] at the first cycle's edge and
-    // advances one flop per cycle: after 40 cycles it sits at taps[39].
-    for (i, &tap) in taps.iter().enumerate() {
-        assert_eq!(sim.value(tap), i == 39, "tap {i} after 40 cycles");
     }
 }
 
@@ -298,63 +163,36 @@ fn event_driven_never_evaluates_more_gates_than_oblivious() {
 }
 
 #[test]
-fn eval_slots_are_comparable_across_kernels() {
-    // `gate_evals` counts kernel work units (one word op can cover 64
-    // cycles), `gate_eval_slots` counts committed (gate, cycle) slots.
-    // The scalar kernels keep the two equal by definition; the word
-    // kernel's slots can exceed its evals but never its own
-    // cycle-equivalent sweep of the same dirty gates.
-    for case in 0..20u64 {
-        let mut rng = Rng::new(0x5107_5000_0000_0000 | case);
-        let netlist = Arc::new(random_netlist(&mut rng));
-        let stimulus = random_stimulus(&netlist, 100, 0.05, &mut rng);
-        let power = PowerConfig::date2000_defaults();
-        let mut sims: Vec<Simulator> = KERNELS
-            .iter()
-            .map(|&k| Simulator::with_kernel(Arc::clone(&netlist), power.clone(), k).expect("valid"))
-            .collect();
-        for sim in &mut sims {
-            sim.run_block(&stimulus);
-        }
-        let [ob, ev, word, simd] = &sims[..] else {
-            unreachable!("four kernels")
-        };
-        assert_eq!(ob.gate_evals(), ob.gate_eval_slots());
-        assert_eq!(ev.gate_evals(), ev.gate_eval_slots());
-        assert!(word.gate_evals() <= word.gate_eval_slots());
-        assert!(simd.gate_evals() <= simd.gate_eval_slots());
-        // Kernel-invariant activity: the cross-kernel comparison metric.
-        assert_eq!(word.gate_events(), ob.gate_events(), "case {case}");
-        assert_eq!(ev.gate_events(), ob.gate_events(), "case {case}");
-        assert_eq!(simd.gate_events(), ob.gate_events(), "case {case}");
-    }
-}
-
-#[test]
-fn env_escape_hatches_select_kernels() {
+fn env_kernel_hatch_selects_event_or_oblivious() {
     // Own-process integration test: safe to touch the environment (the
     // sibling tests in this binary pin kernels explicitly and never
     // read it).
-    std::env::set_var("GATESIM_OBLIVIOUS", "1");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
-    std::env::set_var("GATESIM_OBLIVIOUS", "0");
+    std::env::remove_var("GATESIM_KERNEL");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
-    // GATESIM_KERNEL mirrors the legacy hatch and takes precedence.
-    std::env::set_var("GATESIM_KERNEL", "word");
-    std::env::set_var("GATESIM_OBLIVIOUS", "1");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::WordParallel));
+    // Empty means unset.
+    std::env::set_var("GATESIM_KERNEL", "");
+    assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
     std::env::set_var("GATESIM_KERNEL", "oblivious");
-    std::env::remove_var("GATESIM_OBLIVIOUS");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
     std::env::set_var("GATESIM_KERNEL", "event");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
-    // Case-insensitive, including the simd kernel.
-    std::env::set_var("GATESIM_KERNEL", "Simd");
-    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Simd));
-    // Unknown values fail loudly instead of silently falling back.
-    std::env::set_var("GATESIM_KERNEL", "turbo");
-    let err = SimKernel::from_env().expect_err("unknown kernel must error");
-    assert_eq!(err.value(), "turbo");
+    // Parsing is case-insensitive and whitespace-tolerant.
+    std::env::set_var("GATESIM_KERNEL", " Oblivious ");
+    assert_eq!(SimKernel::from_env(), Ok(SimKernel::Oblivious));
+    // Any other value, `word` and `simd` included, fails loudly with a
+    // typed error listing exactly the two kernels instead of silently
+    // falling back.
+    for bad in ["word", "SIMD", "turbo"] {
+        std::env::set_var("GATESIM_KERNEL", bad);
+        let err = SimKernel::from_env().expect_err("unknown kernel must error");
+        assert_eq!(err.value(), bad);
+        let msg = err.to_string();
+        assert!(
+            msg.contains("one of: event, oblivious —"),
+            "{msg:?} must list exactly event and oblivious"
+        );
+        assert_eq!(bad.parse::<SimKernel>(), Err(err));
+    }
     std::env::remove_var("GATESIM_KERNEL");
     assert_eq!(SimKernel::from_env(), Ok(SimKernel::EventDriven));
 }

@@ -1,140 +1,15 @@
-//! Property tests for the word-level lane primitives and the 64-stream
-//! lockstep simulator.
-//!
-//! Three families:
-//!
-//! * algebraic identities of the lane packer/unpacker and toggle words
-//!   (round-trip identity; popcount of a toggle word equals the scalar
-//!   transition count of the unpacked sequence);
-//! * popcount energy accumulation: summing switch energy lane-by-lane
-//!   over random toggle masks lands on the same floats as the scalar
-//!   per-cycle accumulation, because both add the identical term list
-//!   in the identical order;
-//! * [`LaneSim`] equivalence: every lane of a lockstep run is
-//!   bit-identical (per-cycle energy, values, toggles) to a scalar
-//!   [`Simulator`] run of that lane's stream.
+//! Property tests for the lockstep multi-stream simulators: every lane
+//! of a [`LaneSim`] or [`SimdLaneSim`] run is bit-identical (per-cycle
+//! energy, values, toggles) to a scalar [`Simulator`] run of that
+//! lane's stream.
 
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use detrand::Rng;
-use gatesim::word::{broadcast, pack_lanes, toggle_word, unpack_lanes, LANES};
 use gatesim::{
     GateKind, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator,
 };
 use std::sync::Arc;
-
-#[test]
-fn pack_unpack_roundtrip_at_every_width() {
-    let mut rng = Rng::new(0x9ACC_0001);
-    for width in 1..=LANES {
-        for _ in 0..20 {
-            let bits: Vec<bool> = (0..width).map(|_| rng.bool_with(0.5)).collect();
-            let word = pack_lanes(&bits);
-            assert_eq!(unpack_lanes(word, width), bits, "width {width}");
-            if width < LANES {
-                assert_eq!(word >> width, 0, "no stray high bits at width {width}");
-            }
-        }
-    }
-}
-
-#[test]
-fn broadcast_packs_uniform_lanes() {
-    for v in [false, true] {
-        assert_eq!(broadcast(v), pack_lanes(&[v; LANES]));
-    }
-}
-
-#[test]
-fn toggle_word_popcount_equals_scalar_toggle_count() {
-    let mut rng = Rng::new(0x9ACC_0002);
-    for _ in 0..500 {
-        let width = rng.usize_in(1, LANES + 1);
-        let prev = rng.bool_with(0.5);
-        let seq: Vec<bool> = (0..width).map(|_| rng.bool_with(0.5)).collect();
-        // Scalar truth: count transitions against the running value.
-        let mut scalar = 0u32;
-        let mut cur = prev;
-        for &b in &seq {
-            if b != cur {
-                scalar += 1;
-                cur = b;
-            }
-        }
-        let mask = if width == LANES {
-            u64::MAX
-        } else {
-            (1u64 << width) - 1
-        };
-        let t = toggle_word(pack_lanes(&seq), prev) & mask;
-        assert_eq!(t.count_ones(), scalar, "prev={prev} seq={seq:?}");
-    }
-}
-
-#[test]
-fn popcount_energy_accumulation_is_bit_exact() {
-    // Per-lane energy folded from random toggle masks must equal the
-    // scalar fold over the same per-cycle term lists, bitwise: both
-    // sides add `clock + Σ (toggled net ascending) switch_energy` in
-    // the same order, so this pins the accumulation-order contract the
-    // kernels rely on.
-    let config = PowerConfig::date2000_defaults();
-    let mut rng = Rng::new(0x9ACC_0003);
-    for _ in 0..50 {
-        let n_nets = rng.usize_in(3, 12);
-        let cycles = rng.usize_in(1, LANES + 1);
-        let clock = 7.5e-15 * config.vdd * config.vdd; // arbitrary fixed clock term
-        let caps: Vec<f64> = (0..n_nets).map(|_| rng.usize_in(1, 40) as f64 * 1.5).collect();
-        // One toggle word per net (cycle-packed lanes).
-        let masks: Vec<u64> = (0..n_nets)
-            .map(|_| rng.u64_in(0, u64::MAX))
-            .map(|w| {
-                if cycles == LANES {
-                    w
-                } else {
-                    w & ((1u64 << cycles) - 1)
-                }
-            })
-            .collect();
-        // Scalar: per cycle, walk nets ascending.
-        let scalar: Vec<f64> = (0..cycles)
-            .map(|j| {
-                let mut e = clock;
-                for (i, &m) in masks.iter().enumerate() {
-                    if (m >> j) & 1 == 1 {
-                        e += config.switch_energy_j(caps[i]);
-                    }
-                }
-                e
-            })
-            .collect();
-        // Word: identical double loop driven by the packed masks —
-        // the shape `word_window`'s commit loop uses.
-        let word: Vec<f64> = (0..cycles)
-            .map(|j| {
-                masks
-                    .iter()
-                    .enumerate()
-                    .fold(clock, |e, (i, &m)| {
-                        if (m >> j) & 1 == 1 {
-                            e + config.switch_energy_j(caps[i])
-                        } else {
-                            e
-                        }
-                    })
-            })
-            .collect();
-        let scalar_bits: Vec<u64> = scalar.iter().map(|e| e.to_bits()).collect();
-        let word_bits: Vec<u64> = word.iter().map(|e| e.to_bits()).collect();
-        assert_eq!(scalar_bits, word_bits);
-        // And the popcount totals reconcile with per-cycle counting.
-        let total: u32 = masks.iter().map(|m| m.count_ones()).sum();
-        let per_cycle: u32 = (0..cycles)
-            .map(|j| masks.iter().filter(|&&m| (m >> j) & 1 == 1).count() as u32)
-            .sum();
-        assert_eq!(total, per_cycle);
-    }
-}
 
 /// A small random netlist generator (compact sibling of the
 /// differential-fuzz generator; integration tests link separately).

@@ -208,11 +208,11 @@ pub enum TraceRecord {
     /// many combinational gates the power simulator evaluated and how
     /// many net-value events it observed.
     ///
-    /// `evals` counts kernel *work units* and so depends on the
-    /// selected gate-simulation kernel (a word-parallel evaluation
-    /// covers up to 64 cycles in one unit); `events` counts committed
-    /// per-cycle gate output changes and is kernel-invariant — it is
-    /// the number to compare across `GATESIM_KERNEL` selections.
+    /// `evals` counts kernel work and so depends on the selected
+    /// gate-simulation kernel (the oblivious sweep evaluates every gate
+    /// every cycle); `events` counts committed per-cycle gate output
+    /// changes and is kernel-invariant — it is the number to compare
+    /// across `GATESIM_KERNEL` selections.
     GateActivity {
         /// Simulation time, cycles.
         at: u64,
@@ -455,9 +455,9 @@ pub struct MetricsSink {
     /// RTOS grants.
     pub rtos_grants: u64,
     /// Combinational gate evaluations behind observed detailed
-    /// firings. Kernel work units: the word-parallel kernel covers up
-    /// to 64 cycles per evaluation, so this aggregate depends on the
-    /// selected gate-simulation kernel.
+    /// firings. Kernel work: the oblivious sweep evaluates every gate
+    /// every cycle, so this aggregate depends on the selected
+    /// gate-simulation kernel.
     pub gate_evals: u64,
     /// Gate-level net value changes behind observed detailed firings.
     /// Kernel-invariant: identical under every `GATESIM_KERNEL`

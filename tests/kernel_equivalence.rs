@@ -1,6 +1,6 @@
-//! System-level kernel equivalence: every gate-simulation kernel —
-//! event-driven (the default), oblivious, word-parallel, and simd —
-//! must reproduce the exact same co-simulation report, golden snapshots
+//! System-level kernel equivalence: both gate-simulation kernels —
+//! event-driven (the default) and the oblivious reference — must
+//! reproduce the exact same co-simulation report, golden snapshots
 //! compared down to float bit patterns, on every reference system,
 //! with trace sinks attached, and under fault injection.
 //!
@@ -21,24 +21,21 @@ use systems::automotive::{self, AutomotiveParams};
 use systems::producer_consumer::{self, ProducerConsumerParams};
 use systems::tcpip::{self, TcpIpParams};
 
-/// Serializes all `GATESIM_*` environment mutation across the tests in
+/// Serializes all `GATESIM_KERNEL` environment mutation across the tests in
 /// this binary (they run on parallel threads within one process).
 static ENV_LOCK: Mutex<()> = Mutex::new(());
 
-/// The four first-class kernels as `GATESIM_KERNEL` values; `None` is
-/// "leave the environment alone" — the event-driven default.
-const KERNELS: [(&str, Option<&str>); 4] = [
+/// The two kernels as `GATESIM_KERNEL` values; `None` is "leave the
+/// environment alone" — the event-driven default.
+const KERNELS: [(&str, Option<&str>); 2] = [
     ("event(default)", None),
     ("oblivious", Some("oblivious")),
-    ("word", Some("word")),
-    ("simd", Some("simd")),
 ];
 
 /// Runs `f` with the gate-simulation kernel selection pinned to
 /// `kernel`, holding the environment lock for the duration.
 fn with_kernel<T>(kernel: Option<&str>, f: impl FnOnce() -> T) -> T {
     let _guard = ENV_LOCK.lock().expect("env lock");
-    std::env::remove_var("GATESIM_OBLIVIOUS");
     match kernel {
         Some(k) => std::env::set_var("GATESIM_KERNEL", k),
         None => std::env::remove_var("GATESIM_KERNEL"),
@@ -101,9 +98,9 @@ fn every_kernel_reproduces_the_default_snapshot_on_all_systems() {
                     // `gate_events` counts committed per-cycle gate
                     // output changes — kernel-invariant by contract, so
                     // cross-kernel MetricsSink aggregates stay
-                    // comparable. `gate_evals` counts kernel work units
-                    // (a word-parallel eval covers up to 64 cycles) and
-                    // is allowed to differ.
+                    // comparable. `gate_evals` counts kernel work (the
+                    // oblivious sweep evaluates every gate every cycle)
+                    // and is allowed to differ.
                     assert_eq!(
                         metrics.gate_events, want_metrics.gate_events,
                         "{system}: kernel {name} changed the gate_events aggregate"
@@ -188,27 +185,4 @@ fn kernels_agree_under_a_nonempty_fault_plan() {
             ),
         }
     }
-}
-
-#[test]
-fn legacy_oblivious_escape_hatch_still_reproduces_the_default_report() {
-    let run = || {
-        CoSimulator::new(small_tcpip(), CoSimConfig::date2000_defaults())
-            .expect("system builds")
-            .run()
-            .golden_snapshot()
-    };
-    let event_driven = with_kernel(None, run);
-    let oblivious = {
-        let _guard = ENV_LOCK.lock().expect("env lock");
-        std::env::remove_var("GATESIM_KERNEL");
-        std::env::set_var("GATESIM_OBLIVIOUS", "1");
-        let snap = run();
-        std::env::remove_var("GATESIM_OBLIVIOUS");
-        snap
-    };
-    assert_eq!(
-        event_driven, oblivious,
-        "legacy GATESIM_OBLIVIOUS hatch diverged at system level"
-    );
 }
