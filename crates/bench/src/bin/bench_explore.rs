@@ -1,11 +1,11 @@
 //! Sweep-throughput benchmark: the Fig. 7 exploration (48 points),
-//! measured serial and at several worker counts, written as
-//! `BENCH_explore.json` so the bench trajectory tracks design-space
+//! measured on a 1-worker baseline and at several worker counts, written
+//! as `BENCH_explore.json` so the bench trajectory tracks design-space
 //! sweep throughput across PRs.
 //!
-//! Every parallel result is cross-checked bit-for-bit against the serial
-//! sweep before its timing is recorded — a benchmark entry only exists
-//! if the determinism contract held.
+//! Every result is cross-checked bit-for-bit against the 1-worker
+//! baseline before its timing is recorded — a benchmark entry only
+//! exists if the determinism contract held.
 //!
 //! Usage: `cargo run --release -p soc-bench --bin bench_explore [out.json]`
 
@@ -17,8 +17,7 @@
 use co_estimation::{
     Acceleration, CoSimConfig, ExplorationPoint, ExploreOptions, SamplingConfig,
 };
-use soc_bench::{fig7_parallel, fig7_profile_overhead, fig7_serial, run_with_metrics, table1_caching};
-use std::time::Instant;
+use soc_bench::{fig7, fig7_profile_overhead, run_with_metrics, table1_caching};
 use systems::tcpip::{self, TcpIpParams};
 
 const WORKER_COUNTS: [usize; 4] = [1, 2, 4, 8];
@@ -44,25 +43,28 @@ fn main() {
     println!("== bench_explore: Fig. 7 sweep throughput (host cpus: {host_cpus}) ==\n");
 
     // Warm-up run so first-touch costs (page faults, lazy init) do not
-    // pollute the serial baseline.
-    let _ = fig7_serial(&params);
+    // pollute the baseline.
+    let one_worker = ExploreOptions::with_workers(1);
+    let _ = fig7(&params, &one_worker);
 
-    let t0 = Instant::now();
-    let serial = fig7_serial(&params);
-    let serial_s = t0.elapsed().as_secs_f64();
-    let points = serial.len();
-    println!("serial: {points} points in {serial_s:.3} s ({:.1} points/s)", points as f64 / serial_s);
+    let baseline = fig7(&params, &one_worker);
+    let baseline_s = baseline.stats.wall_ms / 1e3;
+    let points = baseline.points.len();
+    println!(
+        "baseline (1 worker): {points} points in {baseline_s:.3} s ({:.1} points/s)",
+        baseline.stats.points_per_sec
+    );
 
     let mut rows = String::new();
     for (k, &workers) in WORKER_COUNTS.iter().enumerate() {
-        let sweep = fig7_parallel(&params, &ExploreOptions::with_workers(workers));
+        let sweep = fig7(&params, &ExploreOptions::with_workers(workers));
         let wall_s = sweep.stats.wall_ms / 1e3;
-        let identical = bitwise_equal(&serial, &sweep.points);
+        let identical = bitwise_equal(&baseline.points, &sweep.points);
         assert!(
             identical,
             "determinism contract violated at workers = {workers}"
         );
-        let speedup = serial_s / wall_s;
+        let speedup = baseline_s / wall_s;
         println!(
             "workers = {workers}: {:.3} s ({:.1} points/s, speedup {speedup:.2}x, bitwise identical: {identical})",
             wall_s, sweep.stats.points_per_sec
@@ -72,7 +74,7 @@ fn main() {
         }
         rows.push_str(&format!(
             "    {{\"workers\": {workers}, \"wall_s\": {wall_s:.6}, \
-             \"points_per_sec\": {:.3}, \"speedup_vs_serial\": {speedup:.3}, \
+             \"points_per_sec\": {:.3}, \"speedup_vs_baseline\": {speedup:.3}, \
              \"degraded\": {}, \"bitwise_identical\": {identical}}}",
             sweep.stats.points_per_sec, sweep.stats.degraded
         ));
@@ -123,14 +125,14 @@ fn main() {
     let json = format!(
         "{{\n  \"bench\": \"explore_fig7_sweep\",\n  \"system\": \"tcpip\",\n  \
          \"points\": {points},\n  \"host_cpus\": {host_cpus},\n  \
-         \"serial\": {{\"wall_s\": {serial_s:.6}, \"points_per_sec\": {:.3}}},\n  \
+         \"baseline\": {{\"workers\": 1, \"wall_s\": {baseline_s:.6}, \"points_per_sec\": {:.3}}},\n  \
          \"parallel\": [\n{rows}\n  ],\n  \
          \"trace_metrics\": [\n{metric_rows}\n  ],\n  \
          \"profiler_overhead\": {{\"detached_wall_s\": {detached_s:.6}, \
          \"attached_wall_s\": {attached_s:.6}, \
          \"attached_overhead_pct\": {profiler_overhead_pct:.3}, \
          \"bitwise_identical\": true}}\n}}\n",
-        points as f64 / serial_s
+        baseline.stats.points_per_sec
     );
     std::fs::write(&out_path, &json).expect("write benchmark json");
     println!("\nwrote {out_path}");

@@ -22,11 +22,11 @@
 
 use cfsm::TransitionId;
 use co_estimation::{
-    run_lane_sweep, run_lane_sweep_serial, CoSimConfig, LaneSweepConfig, LaneUnit,
+    run_lane_sweep, run_lane_sweep_serial, CoSimConfig, ExploreOptions, LaneSweepConfig, LaneUnit,
 };
 use detrand::Rng;
 use gatesim::{HwCfsm, LaneSim, NetId, Netlist, PowerConfig, SimKernel, SimdLaneSim, Simulator};
-use soc_bench::{fig7_profile_overhead, fig7_serial};
+use soc_bench::{fig7, fig7_profile_overhead};
 use std::sync::Arc;
 use std::time::Instant;
 use systems::tcpip::{self, TcpIpParams};
@@ -487,14 +487,15 @@ fn main() {
     // End-to-end: the Fig. 7 sweep (48 points) under both kernels, via
     // the same escape hatch CI's differential runs use.
     let params = TcpIpParams::fig7_defaults();
-    let _ = fig7_serial(&params); // warm-up (page faults, synth memo)
+    let one_worker = ExploreOptions::with_workers(1);
+    let _ = fig7(&params, &one_worker); // warm-up (page faults, synth memo)
     std::env::set_var("GATESIM_KERNEL", "oblivious");
     let t0 = Instant::now();
-    let oblivious_sweep = fig7_serial(&params);
+    let oblivious_sweep = fig7(&params, &one_worker).points;
     let fig7_ob_s = t0.elapsed().as_secs_f64();
     std::env::remove_var("GATESIM_KERNEL");
     let t0 = Instant::now();
-    let event_sweep = fig7_serial(&params);
+    let event_sweep = fig7(&params, &one_worker).points;
     let fig7_ev_s = t0.elapsed().as_secs_f64();
     let fig7_identical = oblivious_sweep.len() == event_sweep.len()
         && oblivious_sweep

@@ -404,8 +404,9 @@ fn main() {
     println!("wrote {nd_path}");
 
     // Calibration seed: one NDJSON row per timeline window with the
-    // window's activity counters and per-component energies — the
-    // input contract for ROADMAP item 5a's counter-based calibration.
+    // window's activity counters and per-component energies. It fed the
+    // retired counter-driven fitter; it is written here on demand and
+    // kept out of version control.
     let calib_path = if out_path.contains("observe") {
         out_path.replace("observe", "calibration").replace(".json", ".ndjson")
     } else {

@@ -8,8 +8,9 @@
 //! * the disabled policy (`PowerPolicy::none()`) reproduces the plain
 //!   run **bit-identically** — the power layer must cost nothing when
 //!   off;
-//! * the serial and parallel policy sweeps agree **bitwise** at every
-//!   point, and every managed report passes `verify_provenance`.
+//! * the policy sweep on 1 worker and on 4 workers agrees **bitwise**
+//!   at every point with a solo run of that policy, and every managed
+//!   report passes `verify_provenance`.
 //!
 //! Usage:
 //!   cargo run --release -p soc-bench --bin bench_power [out.json]
@@ -21,9 +22,8 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use co_estimation::{
-    explore_power_policies, explore_power_policies_parallel, CoSimConfig, CoSimulator,
-    ExploreOptions, GatingPolicy, LeakageModel, OperatingPoint, PowerPolicy, PowerPoint,
-    Provenance,
+    explore_power_policies_parallel, CoSimConfig, CoSimulator, ExploreOptions, GatingPolicy,
+    LeakageModel, OperatingPoint, PowerPoint, PowerPolicy, Provenance,
 };
 use systems::tcpip::{build, TcpIpParams};
 
@@ -121,41 +121,48 @@ fn main() {
     );
     println!("disabled-policy bit-identity: verified");
 
-    // Contract 2: serial and parallel sweeps agree bitwise, and every
-    // managed report keeps provenance an exact partition.
+    // Contract 2: the sweep on 1 and on 4 workers agrees bitwise with
+    // solo runs of each policy, and every managed report keeps
+    // provenance an exact partition.
     let menu = policies();
-    let serial = explore_power_policies(&soc, &config, &menu).expect("serial sweep");
-    let parallel = explore_power_policies_parallel(
-        &soc,
-        &config,
-        &menu,
-        &ExploreOptions::with_workers(4),
-    )
-    .expect("parallel sweep");
-    assert_eq!(serial.len(), parallel.points.len());
-    for (s, p) in serial.iter().zip(&parallel.points) {
-        assert_eq!(
-            s.report.golden_snapshot(),
-            p.report.golden_snapshot(),
-            "policy `{}`: serial and parallel sweeps diverged",
-            s.policy_name
-        );
-        s.report
-            .verify_provenance()
-            .unwrap_or_else(|e| panic!("policy `{}`: {e}", s.policy_name));
+    let sweep = |workers| {
+        explore_power_policies_parallel(
+            &soc,
+            &config,
+            &menu,
+            &ExploreOptions::with_workers(workers),
+        )
+        .expect("policy sweep")
+        .points
+    };
+    let (one, four) = (sweep(1), sweep(4));
+    assert!(one.len() == menu.len() && four.len() == menu.len());
+    for ((policy, a), b) in menu.iter().zip(&one).zip(&four) {
+        let solo = CoSimulator::new(soc.clone(), config.with_power_policy(policy.clone()))
+            .expect("valid soc")
+            .run()
+            .golden_snapshot();
         assert!(
-            s.report.provenance.records_for(Provenance::Leakage) > 0,
+            a.report.golden_snapshot() == solo && b.report.golden_snapshot() == solo,
+            "policy `{}`: 1-worker, 4-worker and solo runs diverged",
+            policy.name
+        );
+        a.report
+            .verify_provenance()
+            .unwrap_or_else(|e| panic!("policy `{}`: {e}", policy.name));
+        assert!(
+            a.report.provenance.records_for(Provenance::Leakage) > 0,
             "policy `{}` must book leakage spans",
-            s.policy_name
+            policy.name
         );
     }
     println!(
-        "serial-vs-parallel sweep: {} policies bitwise identical, provenance exact",
-        serial.len()
+        "1-worker vs 4-worker vs solo: {} policies bitwise identical, provenance exact",
+        one.len()
     );
 
     // At least two techniques must actually save energy.
-    let saving: Vec<&PowerPoint> = serial
+    let saving: Vec<&PowerPoint> = one
         .iter()
         .filter(|pt| pt.net_saved_j() > 0.0)
         .collect();
@@ -175,7 +182,7 @@ fn main() {
         "{:>14} | {:>11} {:>9} | {:>10} {:>10} {:>10} {:>10}",
         "technique", "energy J", "cycles", "leak J", "dvfs J", "gate J", "net J"
     );
-    for pt in &serial {
+    for pt in &one {
         let p = pt.report.power.as_ref().expect("managed run");
         println!(
             "{:>14} | {:>11.4e} {:>9} | {:>10.3e} {:>10.3e} {:>10.3e} {:>10.3e}",
@@ -189,13 +196,13 @@ fn main() {
         );
     }
 
-    let rows: Vec<String> = serial.iter().map(technique_json).collect();
+    let rows: Vec<String> = one.iter().map(technique_json).collect();
     let json = format!(
         "{{\n  \"bench\": \"power\",\n  \"system\": \"tcpip\",\n  \
          \"leak_w_per_component\": {LEAK_W:e},\n  \
          \"baseline_energy_j\": {:e},\n  \
          \"disabled_policy_bit_identical\": true,\n  \
-         \"serial_parallel_bitwise_identical\": true,\n  \
+         \"workers_and_solo_bitwise_identical\": true,\n  \
          \"techniques\": [\n{}\n  ]\n}}\n",
         plain.total_energy_j(),
         rows.join(",\n"),

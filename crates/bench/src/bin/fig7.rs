@@ -8,7 +8,7 @@
 #![allow(clippy::expect_used, clippy::unwrap_used)]
 
 use co_estimation::{minimum_energy, CoSimConfig, ExploreOptions};
-use soc_bench::{fig7_parallel, render_sweep_stats, run_with_metrics, FIG7_DMA_SIZES};
+use soc_bench::{fig7, render_sweep_stats, run_with_metrics, FIG7_DMA_SIZES};
 use systems::tcpip::{self, TcpIpParams};
 
 fn main() {
@@ -18,7 +18,7 @@ fn main() {
     println!(" Ultra Enterprise 450 — measure how long it takes here)\n");
     let options = ExploreOptions::default();
     println!("sweeping on {} worker thread(s)\n", options.workers);
-    let sweep = fig7_parallel(&TcpIpParams::fig7_defaults(), &options);
+    let sweep = fig7(&TcpIpParams::fig7_defaults(), &options);
     let points = sweep.points;
 
     // Group rows by priority label.

@@ -23,7 +23,7 @@
 
 use co_estimation::{
     estimate_separately, Acceleration, CachingConfig, CoSimConfig, CoSimReport, CoSimulator,
-    ExplorationPoint, ExploreOptions, SamplingConfig, SweepReport, SweepStats, TimelineOptions,
+    ExplorationPoint, ExploreOptions, SamplingConfig, SweepReport, SweepStats,
 };
 use soctrace::{ArcSharedSink, PowerTimelineSink, ProfileReport, TimelineConfig, TimelineReport};
 use std::time::Instant;
@@ -205,17 +205,17 @@ fn best_of<T>(passes: usize, mut sweep: impl FnMut() -> T) -> (f64, T) {
 }
 
 /// Measures the profiler's cost on the Fig. 7 sweep: best-of-N detached
-/// passes vs. best-of-N attached passes of the same serial sweep,
+/// passes vs. best-of-N attached passes of the same 1-worker sweep,
 /// asserted bit-identical. Each attached pass gets a fresh sink so the
 /// returned profile's span counts describe a single sweep. Returns
 /// `(detached_s, attached_s, profile)`.
 pub fn fig7_profile_overhead(params: &TcpIpParams) -> (f64, f64, ProfileReport) {
-    let _ = fig7_parallel(params, &ExploreOptions::serial()); // warm-up
-    let (detached_s, detached) =
-        best_of(OVERHEAD_PASSES, || fig7_parallel(params, &ExploreOptions::serial()));
+    let one_worker = ExploreOptions::with_workers(1);
+    let _ = fig7(params, &one_worker); // warm-up
+    let (detached_s, detached) = best_of(OVERHEAD_PASSES, || fig7(params, &one_worker));
     let (attached_s, (attached, sink)) = best_of(OVERHEAD_PASSES, || {
         let sink = ArcSharedSink::new(ProfileReport::new());
-        let sweep = fig7_parallel(params, &ExploreOptions::serial().profiled(sink.clone()));
+        let sweep = fig7(params, &one_worker.clone().profiled(sink.clone()));
         (sweep, sink)
     });
     assert_eq!(detached.points.len(), attached.points.len());
@@ -237,15 +237,11 @@ pub fn fig7_profile_overhead(params: &TcpIpParams) -> (f64, f64, ProfileReport) 
 /// Returns `(detached_s, timed_s, point_peaks_w)` — the per-point
 /// peak-window powers from the last timed pass.
 pub fn fig7_timeline_overhead(params: &TcpIpParams) -> (f64, f64, Vec<f64>) {
-    let _ = fig7_parallel(params, &ExploreOptions::serial()); // warm-up
-    let (detached_s, detached) =
-        best_of(OVERHEAD_PASSES, || fig7_parallel(params, &ExploreOptions::serial()));
-    let (timed_s, timed) = best_of(OVERHEAD_PASSES, || {
-        fig7_parallel(
-            params,
-            &ExploreOptions::serial().with_timeline(TimelineOptions::default()),
-        )
-    });
+    let one_worker = ExploreOptions::with_workers(1);
+    let _ = fig7(params, &one_worker); // warm-up
+    let (detached_s, detached) = best_of(OVERHEAD_PASSES, || fig7(params, &one_worker));
+    let timed_options = one_worker.clone().with_timeline(1_000);
+    let (timed_s, timed) = best_of(OVERHEAD_PASSES, || fig7(params, &timed_options));
     assert_eq!(detached.points.len(), timed.points.len());
     assert!(
         detached
@@ -513,13 +509,10 @@ pub fn ranks_agree(points: &[Fig6Point]) -> bool {
 // ---------------------------------------------------------------------
 
 /// Reproduces Fig. 7: the 6-permutation × 8-DMA-size exploration of the
-/// TCP/IP communication architecture (48 points), evaluated on the
-/// parallel sweep engine with the given options. The returned points are
-/// bit-for-bit identical to the serial sweep's at any worker count.
-pub fn fig7_parallel(
-    params: &TcpIpParams,
-    options: &ExploreOptions,
-) -> SweepReport<ExplorationPoint> {
+/// TCP/IP communication architecture (48 points), evaluated on the sweep
+/// engine with the given options. The returned points are bit-for-bit
+/// identical at any worker count.
+pub fn fig7(params: &TcpIpParams, options: &ExploreOptions) -> SweepReport<ExplorationPoint> {
     let soc = tcpip::build(params).expect("valid params");
     let procs: Vec<cfsm::ProcId> = ["create_pack", "ip_check", "checksum"]
         .iter()
@@ -531,29 +524,6 @@ pub fn fig7_parallel(
         &procs,
         &FIG7_DMA_SIZES,
         options,
-    )
-    .expect("exploration builds")
-}
-
-/// Reproduces Fig. 7 with all the parallelism the host offers, returning
-/// just the 48 points (identical to the serial sweep's).
-pub fn fig7(params: &TcpIpParams) -> Vec<ExplorationPoint> {
-    fig7_parallel(params, &ExploreOptions::default()).points
-}
-
-/// The serial-reference Fig. 7 sweep (kept for differential testing and
-/// the throughput baseline of `bench_explore`).
-pub fn fig7_serial(params: &TcpIpParams) -> Vec<ExplorationPoint> {
-    let soc = tcpip::build(params).expect("valid params");
-    let procs: Vec<cfsm::ProcId> = ["create_pack", "ip_check", "checksum"]
-        .iter()
-        .map(|n| soc.network.process_by_name(n).expect("process exists"))
-        .collect();
-    co_estimation::explore_bus_architecture(
-        &soc,
-        &CoSimConfig::date2000_defaults(),
-        &procs,
-        &FIG7_DMA_SIZES,
     )
     .expect("exploration builds")
 }
@@ -757,7 +727,7 @@ mod tests {
 
     #[test]
     fn fig7_covers_48_points_and_finds_minimum() {
-        let points = fig7(&TcpIpParams::fig7_defaults());
+        let points = fig7(&TcpIpParams::fig7_defaults(), &ExploreOptions::default()).points;
         assert_eq!(points.len(), 6 * 8);
         let min = co_estimation::minimum_energy(&points).expect("nonempty");
         assert!(min.energy_j() > 0.0);

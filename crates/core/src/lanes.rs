@@ -19,9 +19,9 @@
 //!
 //! The co-simulation-level counterparts — fault-matrix and stimulus-seed
 //! sweeps that demux into full per-point [`crate::CoSimReport`]s with
-//! the provenance partition intact — live in [`crate::explore`] and
-//! [`crate::explore_parallel`]; this module is the gate-level engine the
-//! bench compares against serial scalar sweeps.
+//! the provenance partition intact — live in [`crate::explore`]; this
+//! module is the gate-level engine the bench compares against serial
+//! scalar sweeps.
 
 use detrand::Rng;
 use gatesim::{

@@ -46,13 +46,15 @@
 //! [`CoSimReport::verify_provenance`] stays an exact bit-level
 //! partition. The default policy is a guaranteed noop.
 //!
-//! [`explore_bus_architecture`] drives the iterative design-space
-//! exploration of §5.3; [`explore_bus_architecture_parallel`] and
-//! [`explore_partitions_parallel`] fan the same sweeps out over a scoped
-//! worker pool ([`ExploreOptions`]) with **bit-for-bit identical**
-//! results and throughput metrics ([`SweepStats`]); and
-//! [`explore_power_policies`] / [`explore_power_policies_parallel`]
-//! widen the sweep to operating points × gating policies.
+//! [`explore_bus_architecture_parallel`] drives the iterative
+//! design-space exploration of §5.3 and [`explore_partitions_parallel`]
+//! ranks HW/SW partitions; [`explore_power_policies_parallel`],
+//! [`explore_fault_matrix_parallel`] and
+//! [`explore_stimulus_seeds_parallel`] widen the sweep to power
+//! policies, fault scenarios and Monte-Carlo stimuli. All five run on
+//! one scoped worker pool ([`ExploreOptions`]) whose results are
+//! **bit-for-bit identical** at every worker count, with throughput
+//! metrics ([`SweepStats`]).
 //!
 //! The framework is fault-aware: a [`FaultPlan`] schedules declarative
 //! fault injections (dropped/duplicated/delayed events, frozen processes,
@@ -104,7 +106,6 @@ mod caching;
 mod config;
 mod estimator;
 mod explore;
-mod explore_parallel;
 mod faults;
 mod lanes;
 mod macromodel;
@@ -135,14 +136,10 @@ pub use report::{
     AccelEffectiveness, CacheEffectiveness, Provenance, ProvenanceBreakdown, SamplingEffectiveness,
 };
 pub use explore::{
-    explore_bus_architecture, explore_fault_matrix, explore_partitions, explore_power_policies,
-    explore_stimulus_seeds, minimum_energy, permutations, ExplorationPoint, FaultPoint,
-    PartitionPoint, PowerPoint, StimulusJitter, StimulusPoint,
-};
-pub use explore_parallel::{
-    explore_bus_architecture_parallel, explore_fault_matrix_parallel,
-    explore_partitions_parallel, explore_power_policies_parallel,
-    explore_stimulus_seeds_parallel, ExploreOptions, SweepReport, SweepStats, TimelineOptions,
+    explore_bus_architecture_parallel, explore_fault_matrix_parallel, explore_partitions_parallel,
+    explore_power_policies_parallel, explore_stimulus_seeds_parallel, minimum_energy, permutations,
+    ExplorationPoint, ExploreOptions, FaultPoint, PartitionPoint, PowerPoint, StimulusJitter,
+    StimulusPoint, SweepReport, SweepStats,
 };
 pub use lanes::{
     fault_matrix_units, run_lane_sweep, run_lane_sweep_serial, toggle_statistics, LanePoint,

@@ -80,8 +80,8 @@ impl Rng {
     ///
     /// Panics if `lo >= hi`.
     pub fn i64_in(&mut self, lo: i64, hi: i64) -> i64 {
+        assert!(lo < hi, "empty range [{lo}, {hi})");
         let span = (hi as i128 - lo as i128) as u128;
-        assert!(span > 0, "empty range [{lo}, {hi})");
         let wide = (self.next_u64() as u128) * span;
         (lo as i128 + (wide >> 64) as i128) as i64
     }
@@ -172,6 +172,14 @@ mod tests {
         let mut r = Rng::new(4);
         assert_eq!(r.u64_in(7, 8), 7);
         assert_eq!(r.i64_in(-1, 0), -1);
+    }
+
+    #[test]
+    #[should_panic(expected = "empty range")]
+    fn inverted_i64_range_panics_as_documented() {
+        // An inverted range once wrapped its span to a huge `u128` and
+        // slipped past the emptiness check.
+        Rng::new(4).i64_in(3, -2);
     }
 
     #[test]

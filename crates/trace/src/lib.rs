@@ -787,7 +787,7 @@ impl<T: ProfileSink> ProfileSink for SharedSink<T> {
 
 /// A thread-safe shareable sink: the `Arc<Mutex<…>>` counterpart of
 /// [`SharedSink`], for sinks that must cross a worker pool (one handle
-/// per `explore_parallel` worker, all aggregating into the same inner
+/// per sweep worker, all aggregating into the same inner
 /// sink). For the single-threaded master, [`SharedSink`] stays cheaper.
 pub struct ArcSharedSink<T>(Arc<Mutex<T>>);
 

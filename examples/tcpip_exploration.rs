@@ -7,7 +7,7 @@
 //! ```
 
 use co_estimation::{
-    explore_bus_architecture, minimum_energy, CoSimConfig,
+    explore_bus_architecture_parallel, minimum_energy, CoSimConfig, ExploreOptions,
 };
 use systems::tcpip::{build, TcpIpParams};
 
@@ -22,13 +22,20 @@ fn main() -> Result<(), Box<dyn std::error::Error>> {
         })
         .collect::<Result<_, _>>()?;
 
-    let points = explore_bus_architecture(
+    let sweep = explore_bus_architecture_parallel(
         &soc,
         &CoSimConfig::date2000_defaults(),
         &procs,
         &[1, 4, 16, 64],
+        &ExploreOptions::default(),
     )?;
-    println!("explored {} configurations\n", points.len());
+    let points = sweep.points;
+    println!(
+        "explored {} configurations on {} worker(s) in {:.1} ms\n",
+        points.len(),
+        sweep.stats.workers,
+        sweep.stats.wall_ms
+    );
 
     let min = minimum_energy(&points).ok_or("empty sweep")?;
     let max = points

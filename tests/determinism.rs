@@ -1,21 +1,26 @@
-//! Differential determinism: the parallel sweep engine against the
-//! serial reference, bitwise, on the Fig. 7 exploration.
+//! Differential determinism: the sweep engine against a serial
+//! reference of solo co-simulations, bitwise, on the Fig. 7
+//! exploration.
 //!
-//! The parallel engine's whole contract is that fanning a sweep across a
-//! worker pool changes *nothing* about its result — only its latency.
-//! These tests run the 48-point Fig. 7 bus-architecture sweep serially
-//! and at several worker counts (1, 2, 8, plus an optional count from
-//! the `EXPLORE_WORKERS` env var, which CI uses to probe extra pool
-//! shapes) and require every point — label, priority assignment, DMA
-//! size, and the full report down to float bit patterns — to be
-//! identical. A second pass repeats the comparison under a non-empty
-//! `FaultPlan`, so the fault-injection layer does not break the
-//! contract either.
+//! The engine's whole contract is that fanning a sweep across a worker
+//! pool changes *nothing* about its result — only its latency. These
+//! tests build every point of the 48-point Fig. 7 bus-architecture sweep
+//! as a solo `CoSimulator` run (priorities and DMA size set by hand, no
+//! sweep code), run the sweep at several worker counts (1, 2, 8, plus an
+//! optional count from the `EXPLORE_WORKERS` env var, which CI uses to
+//! probe extra pool shapes) and require every point — label, priority
+//! assignment, DMA size, and the full report down to float bit patterns
+//! — to be identical. A second pass repeats the comparison under a
+//! non-empty `FaultPlan`, so the fault-injection layer does not break
+//! the contract either.
+
+mod common;
 
 use co_estimation::{
-    explore_bus_architecture, explore_bus_architecture_parallel, explore_partitions,
-    explore_partitions_parallel, CoSimConfig, ExplorationPoint, ExploreOptions, FaultPlan,
+    explore_bus_architecture_parallel, explore_partitions_parallel, BuildEstimatorError,
+    CoSimConfig, CoSimulator, ExplorationPoint, ExploreOptions, FaultPlan,
 };
+use common::solo_bus_points;
 use systems::tcpip::{self, TcpIpParams};
 
 /// Worker counts under test: the fixed set plus CI's optional extra.
@@ -78,8 +83,7 @@ fn fig7_parallel_sweep_is_bitwise_identical_to_serial() {
     let soc = fig7_soc();
     let config = CoSimConfig::date2000_defaults();
     let procs = fig7_procs(&soc);
-    let serial =
-        explore_bus_architecture(&soc, &config, &procs, &FIG7_DMA_SIZES).expect("serial sweep");
+    let serial = solo_bus_points(&soc, &config, &procs, &FIG7_DMA_SIZES);
     assert_eq!(serial.len(), 48, "6 permutations x 8 DMA sizes");
     for workers in worker_counts() {
         let sweep = explore_bus_architecture_parallel(
@@ -114,7 +118,7 @@ fn fig7_parallel_sweep_matches_serial_under_fault_injection() {
     // Half the DMA grid keeps the faulted differential affordable; the
     // full grid is covered by the fault-free differential above.
     let dmas = [1u32, 8, 32, 128];
-    let serial = explore_bus_architecture(&soc, &config, &procs, &dmas).expect("serial sweep");
+    let serial = solo_bus_points(&soc, &config, &procs, &dmas);
     for workers in [2usize, 8] {
         let sweep = explore_bus_architecture_parallel(
             &soc,
@@ -145,7 +149,32 @@ fn partition_sweep_parallel_matches_serial() {
         .iter()
         .map(|n| soc.network.process_by_name(n).expect("process exists"))
         .collect();
-    let serial = explore_partitions(&soc, &config, &movable).expect("serial sweep");
+    // The reference: every 2^2 mapping as a solo run, with partitions
+    // that fail to synthesize absent.
+    let mut serial = Vec::new();
+    for bits in 0..4u32 {
+        let mut variant = soc.clone();
+        let mut labels = Vec::new();
+        for (k, &p) in movable.iter().enumerate() {
+            let m = if bits >> k & 1 == 1 {
+                cfsm::Implementation::Hw
+            } else {
+                cfsm::Implementation::Sw
+            };
+            variant.network.set_mapping(p, m);
+            labels.push(format!("{}={m}", soc.network.cfsm(p).name()));
+        }
+        let mapping: Vec<cfsm::Implementation> = variant
+            .network
+            .process_ids()
+            .map(|p| variant.network.mapping(p))
+            .collect();
+        match CoSimulator::new(variant, config.clone()) {
+            Ok(mut sim) => serial.push((labels.join(" "), mapping, sim.run())),
+            Err(BuildEstimatorError::Synth(_, _)) => {}
+            Err(e) => panic!("partition {bits:#b}: {e}"),
+        }
+    }
     let sweep = explore_partitions_parallel(
         &soc,
         &config,
@@ -154,9 +183,13 @@ fn partition_sweep_parallel_matches_serial() {
     )
     .expect("parallel sweep");
     assert_eq!(serial.len(), sweep.points.len());
-    for (s, p) in serial.iter().zip(&sweep.points) {
-        assert_eq!(s.label, p.label);
-        assert_eq!(s.mapping, p.mapping);
-        assert_eq!(s.energy_j().to_bits(), p.energy_j().to_bits(), "{}", s.label);
+    for ((label, mapping, report), p) in serial.iter().zip(&sweep.points) {
+        assert_eq!(label, &p.label);
+        assert_eq!(mapping, &p.mapping);
+        assert_eq!(
+            report.total_energy_j().to_bits(),
+            p.energy_j().to_bits(),
+            "{label}"
+        );
     }
 }

@@ -8,12 +8,14 @@
 //! detailed call), so the spans cannot silently drift away from what
 //! they claim to time.
 
+mod common;
+
 use co_estimation::{
-    explore_bus_architecture, explore_bus_architecture_parallel, explore_power_policies,
-    explore_power_policies_parallel, Acceleration, CachingConfig, CoSimConfig, CoSimReport,
-    CoSimulator, ExploreOptions, FaultPlan, GatingPolicy, LeakageModel, OperatingPoint,
-    PowerPolicy, Provenance, SamplingConfig, SocDescription,
+    explore_bus_architecture_parallel, explore_power_policies_parallel, Acceleration,
+    CachingConfig, CoSimConfig, CoSimReport, CoSimulator, ExploreOptions, FaultPlan, GatingPolicy,
+    LeakageModel, OperatingPoint, PowerPolicy, Provenance, SamplingConfig, SocDescription,
 };
+use common::solo_bus_points;
 use soctrace::{ArcSharedSink, MetricsSink, ProfileReport, SharedSink, SpanKind};
 use systems::automotive::{self, AutomotiveParams};
 use systems::producer_consumer::{self, ProducerConsumerParams};
@@ -300,7 +302,15 @@ fn power_sweeps_are_bitwise_identical_serial_vs_parallel() {
         PowerPolicy::named("leak").with_leakage(LeakageModel::with_default_rate(1.0e-3)),
         managed_policy(&soc),
     ];
-    let serial = explore_power_policies(&soc, &base, &policies).expect("serial sweep");
+    // The reference: one solo run per policy, no sweep code.
+    let serial: Vec<CoSimReport> = policies
+        .iter()
+        .map(|p| {
+            CoSimulator::new(soc.clone(), base.with_power_policy(p.clone()))
+                .expect("system builds")
+                .run()
+        })
+        .collect();
     for workers in [1usize, 3] {
         let par = explore_power_policies_parallel(
             &soc,
@@ -310,23 +320,23 @@ fn power_sweeps_are_bitwise_identical_serial_vs_parallel() {
         )
         .expect("parallel sweep");
         assert_eq!(serial.len(), par.points.len());
-        for (s, p) in serial.iter().zip(&par.points) {
-            assert_eq!(s.policy_name, p.policy_name);
+        for ((policy, s), p) in policies.iter().zip(&serial).zip(&par.points) {
+            assert_eq!(policy.name, p.policy_name);
             assert_eq!(
-                s.report.golden_snapshot(),
+                s.golden_snapshot(),
                 p.report.golden_snapshot(),
                 "policy `{}` diverged at workers = {workers}",
-                s.policy_name
+                policy.name
             );
             assert_eq!(
-                s.energy_j().to_bits(),
+                s.total_energy_j().to_bits(),
                 p.energy_j().to_bits(),
                 "policy `{}` energy bits diverged at workers = {workers}",
-                s.policy_name
+                policy.name
             );
             p.report
                 .verify_provenance()
-                .unwrap_or_else(|e| panic!("policy `{}`: {e}", s.policy_name));
+                .unwrap_or_else(|e| panic!("policy `{}`: {e}", policy.name));
         }
     }
 }
@@ -341,7 +351,7 @@ fn parallel_sweep_profiles_every_point_without_perturbing_results() {
         .collect();
     let dmas = [1u32, 8, 32, 128];
 
-    let serial = explore_bus_architecture(&soc, &config, &procs, &dmas).expect("serial sweep");
+    let serial = solo_bus_points(&soc, &config, &procs, &dmas);
 
     let sink = ArcSharedSink::new(ProfileReport::new());
     let sweep = explore_bus_architecture_parallel(
@@ -358,7 +368,7 @@ fn parallel_sweep_profiles_every_point_without_perturbing_results() {
         assert_eq!(
             s.report.golden_snapshot(),
             p.report.golden_snapshot(),
-            "profiled point {i} drifted from the serial reference"
+            "profiled point {i} drifted from its solo run"
         );
         p.report
             .verify_provenance()

@@ -116,7 +116,7 @@ fn new_verified_rejects_a_doomed_spec_with_the_full_report() {
 
 #[test]
 fn verify_first_gates_parallel_sweeps() {
-    let options = ExploreOptions::serial().verified();
+    let options = ExploreOptions::with_workers(1).verified();
     let config = CoSimConfig::date2000_defaults();
 
     let bad = doomed();
